@@ -1,16 +1,17 @@
 // Command prisimd serves simulations over HTTP: a bounded job queue with
 // backpressure (429 + Retry-After), a worker pool over one shared prisim
-// Engine (identical requests coalesce in its singleflight cache), per-job
-// cancellation and timeout, SSE progress streaming, Prometheus-format
-// metrics, and graceful drain on SIGTERM/SIGINT.
+// Engine, per-job cancellation and timeout, SSE progress streaming,
+// Prometheus-format metrics, and graceful drain on SIGTERM/SIGINT.
 //
-// With -store the daemon keeps a durable content-addressed result store:
-// jobs whose point is already recorded resolve from disk without an engine
-// run, and the store survives restarts. With -coordinator it additionally
-// runs the experiment fabric control plane (/api/v1/fabric/...): matrix
-// submissions expand into content-hashed points, warm points serve from the
-// store, and cold points shard across registered worker daemons. A worker
-// joins a coordinator with -join.
+// Every simulate and program job resolves its point through the daemon's
+// fabric coordinator: the content-addressed result store first, then the
+// point's in-flight run, then the Engine. The store is memory-only unless
+// -store names a log file, which survives restarts. With -coordinator the
+// daemon also mounts the experiment fabric control plane
+// (/api/v1/fabric/...): matrix submissions expand into content-hashed
+// points, warm points serve from the store, and cold points shard across
+// registered worker daemons, or run on up to -local-slots local slots. A
+// worker joins a coordinator with -join.
 //
 // Usage:
 //
@@ -54,7 +55,7 @@ func main() {
 	progRun := flag.Uint64("program-max-run", 0, fmt.Sprintf("max committed instructions per program job; larger requests are rejected (0 = %d)", service.DefaultMaxProgramRun))
 	progMem := flag.Uint64("program-max-memory", 0, fmt.Sprintf("max simulated memory footprint bytes per program job (0 = %d)", service.DefaultMaxProgramMemory))
 	coordinator := flag.Bool("coordinator", false, "run the experiment fabric control plane (/api/v1/fabric/...)")
-	localSlots := flag.Int("local-slots", 0, "matrix points the coordinator executes on its own engine when no worker is free (0 = workers only)")
+	localSlots := flag.Int("local-slots", 0, "matrix points the coordinator executes on this daemon's engine when no worker is free (0 = workers only)")
 	join := flag.String("join", "", "coordinator URL to register this daemon with as a worker")
 	advertise := flag.String("advertise", "", "URL the coordinator should reach this daemon at (default http://127.0.0.1:PORT)")
 	nodeID := flag.String("node-id", "", "node name stamped on computed results (default host-pid)")
@@ -82,35 +83,40 @@ func main() {
 	if *coordinator && *storePath == "" {
 		logger.Printf("warning: -coordinator without -store: results and matrix state will not survive a restart")
 	}
-	var store *fabric.Store
-	if *storePath != "" || *coordinator {
-		var err error
-		if store, err = fabric.OpenStore(*storePath); err != nil {
-			logger.Printf("%v", err)
-			os.Exit(1)
-		}
+	store, err := fabric.OpenStore(*storePath)
+	if err != nil {
+		logger.Printf("%v", err)
+		os.Exit(1)
 	}
-
-	var coord *fabric.Coordinator
-	if *coordinator {
-		fcfg := fabric.Config{Store: store, NodeID: *nodeID, LocalSlots: *localSlots}
-		if !*quiet {
-			fcfg.Logger = logger
-		}
-		var err error
-		if coord, err = fabric.New(fcfg); err != nil {
-			logger.Printf("coordinator: %v", err)
-			os.Exit(1)
-		}
+	effWorkers := *workers
+	if effWorkers <= 0 {
+		effWorkers = runtime.GOMAXPROCS(0)
+	}
+	// One Engine runs every point: the job workers' and the local slots'.
+	fcfg := fabric.Config{
+		Store:      store,
+		NodeID:     *nodeID,
+		LocalSlots: *localSlots,
+		Engine: prisim.NewEngine(
+			prisim.WithBudget(*ff, *run),
+			prisim.WithParallelism(effWorkers+max(*localSlots, 0)),
+		),
+	}
+	if !*quiet {
+		fcfg.Logger = logger
+	}
+	coord, err := fabric.New(fcfg)
+	if err != nil {
+		logger.Printf("coordinator: %v", err)
+		os.Exit(1)
 	}
 
 	cfg := service.Config{
-		Workers:     *workers,
+		Workers:     effWorkers,
 		QueueDepth:  *queue,
 		JobTimeout:  *jobTimeout,
-		NodeID:      *nodeID,
-		Store:       store,
 		Coordinator: coord,
+		Fabric:      *coordinator,
 		Programs: service.ProgramLimits{
 			MaxSourceBytes: *progSource,
 			MaxRun:         *progRun,
@@ -130,10 +136,6 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
-	}
 	effQueue := *queue
 	if effQueue <= 0 {
 		effQueue = 4 * effWorkers
@@ -177,13 +179,9 @@ func main() {
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Printf("http shutdown: %v", err)
 	}
-	if coord != nil {
-		coord.Close()
-	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			logger.Printf("store close: %v", err)
-		}
+	coord.Close()
+	if err := store.Close(); err != nil {
+		logger.Printf("store close: %v", err)
 	}
 	logger.Printf("exit")
 }

@@ -41,7 +41,6 @@ type engineSettings struct {
 	budget       harness.Budget
 	workers      int
 	onProgress   func(done, total int)
-	log          io.Writer
 	snapshotsOff bool
 }
 
@@ -72,11 +71,6 @@ func WithProgress(fn func(done, total int)) EngineOption {
 	return func(s *engineSettings) { s.onProgress = fn }
 }
 
-// WithRunLog directs a one-line-per-completed-run text log to w.
-func WithRunLog(w io.Writer) EngineOption {
-	return func(s *engineSettings) { s.log = w }
-}
-
 // WithSnapshots enables or disables the fast-forward snapshot cache
 // (enabled by default): each workload's functional fast-forward executes
 // once and every later run for that workload starts from a copy-on-write
@@ -95,9 +89,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	r := harness.NewParallelRunner(s.budget, s.workers)
 	if s.onProgress != nil {
 		r.OnProgress(s.onProgress)
-	}
-	if s.log != nil {
-		r.SetProgress(s.log)
 	}
 	if s.snapshotsOff {
 		r.SetSnapshots(false)

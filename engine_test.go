@@ -267,23 +267,3 @@ func TestMachineJSONRoundTrip(t *testing.T) {
 		t.Errorf("IntPRs = %d, want 48", res.IntPRs)
 	}
 }
-
-func TestDeprecatedWrappers(t *testing.T) {
-	res, err := Simulate(Options{Benchmark: "gzip", FastForward: 500, Run: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 {
-		t.Errorf("wrapper IPC = %v", res.IPC)
-	}
-	out, err := Experiment("table1", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "ROB") {
-		t.Error("wrapper Experiment output wrong")
-	}
-	if _, err := Experiment("nope", Options{}); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("wrapper error = %v", err)
-	}
-}

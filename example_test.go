@@ -1,6 +1,7 @@
 package prisim_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -8,10 +9,11 @@ import (
 	"prisim"
 )
 
-// ExampleSimulate runs the paper's most register-starved integer benchmark
-// under physical register inlining and prints stable facts about the run.
-func ExampleSimulate() {
-	res, err := prisim.Simulate(prisim.Options{
+// ExampleEngine_Simulate runs the paper's most register-starved integer
+// benchmark under physical register inlining and prints stable facts about
+// the run.
+func ExampleEngine_Simulate() {
+	res, err := prisim.NewEngine().Simulate(context.Background(), prisim.Options{
 		Benchmark:   "mcf",
 		Width:       8,
 		Policy:      prisim.PolicyPRI,
@@ -44,9 +46,9 @@ func ExampleBenchmarks() {
 	// 27 benchmarks (13 integer, 14 floating point)
 }
 
-// ExampleExperiment regenerates one of the paper's tables.
-func ExampleExperiment() {
-	out, err := prisim.Experiment("table1", prisim.Options{})
+// ExampleEngine_Experiment regenerates one of the paper's tables.
+func ExampleEngine_Experiment() {
+	out, err := prisim.NewEngine().Experiment(context.Background(), "table1", prisim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,12 +14,14 @@ import (
 
 func main() {
 	bench := "mcf" // the paper's most register-starved integer benchmark
+	ctx := context.Background()
+	eng := prisim.NewEngine()
 
-	base, err := prisim.Simulate(prisim.Options{Benchmark: bench, Width: 8})
+	base, err := eng.Simulate(ctx, prisim.Options{Benchmark: bench, Width: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pri, err := prisim.Simulate(prisim.Options{
+	pri, err := eng.Simulate(ctx, prisim.Options{
 		Benchmark: bench,
 		Width:     8,
 		Policy:    prisim.PolicyPRI,

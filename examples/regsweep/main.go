@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,16 +19,18 @@ func main() {
 	if len(os.Args) > 1 {
 		bench = os.Args[1]
 	}
+	ctx := context.Background()
+	eng := prisim.NewEngine()
 	fmt.Printf("%s, 8-wide machine: IPC vs physical register file size\n\n", bench)
 	fmt.Printf("%6s  %10s  %10s  %8s\n", "PRs", "base IPC", "PRI IPC", "PRI gain")
 	for _, prs := range []int{40, 48, 56, 64, 72, 80, 96, 128} {
-		base, err := prisim.Simulate(prisim.Options{
+		base, err := eng.Simulate(ctx, prisim.Options{
 			Benchmark: bench, Width: 8, PhysRegs: prs,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		pri, err := prisim.Simulate(prisim.Options{
+		pri, err := eng.Simulate(ctx, prisim.Options{
 			Benchmark: bench, Width: 8, PhysRegs: prs, Policy: prisim.PolicyPRI,
 		})
 		if err != nil {

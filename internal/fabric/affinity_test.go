@@ -21,7 +21,7 @@ func affinityCoord(slots int, ids ...string) *Coordinator {
 }
 
 func pointFor(bench string) *flight {
-	return &flight{req: prisimclient.JobRequest{Benchmark: bench, FastForward: 20_000, Run: 1000}}
+	return &flight{Point: Point{Request: prisimclient.JobRequest{Benchmark: bench, FastForward: 20_000, Run: 1000}}}
 }
 
 // TestWorkloadAffinityStickiness checks the snapshot-reuse hint: once a
@@ -47,8 +47,8 @@ func TestWorkloadAffinityStickiness(t *testing.T) {
 	}
 	// A different fast-forward budget is a different snapshot, so it carries
 	// no affinity with the base workload's node.
-	other := &flight{req: prisimclient.JobRequest{Benchmark: "gzip", FastForward: 5000, Run: 1000}}
-	if k := affinityKey(other.req); k == affinityKey(pointFor("gzip").req) {
+	other := &flight{Point: Point{Request: prisimclient.JobRequest{Benchmark: "gzip", FastForward: 5000, Run: 1000}}}
+	if k := affinityKey(other.Request); k == affinityKey(pointFor("gzip").Request) {
 		t.Errorf("distinct fast-forward budgets share affinity key %q", k)
 	}
 }
@@ -65,7 +65,7 @@ func TestWorkloadAffinitySpill(t *testing.T) {
 	if spill == nil || spill == first {
 		t.Fatalf("saturated affinity node was not spilled (got %v)", spill)
 	}
-	if got := c.affinity[affinityKey(pointFor("gzip").req)]; got != spill.id {
+	if got := c.affinity[affinityKey(pointFor("gzip").Request)]; got != spill.id {
 		t.Errorf("affinity after spill = %q, want %q", got, spill.id)
 	}
 
@@ -94,7 +94,7 @@ func TestWorkloadAffinityProbeDoesNotAdvance(t *testing.T) {
 		t.Errorf("capacity probe advanced round-robin to %d", c.rr)
 	}
 	// A deregistered affinity node must not wedge picking.
-	c.affinity[affinityKey(f.req)] = "node-gone"
+	c.affinity[affinityKey(f.Request)] = "node-gone"
 	if w := c.pickWorkerLocked(f); w == nil {
 		t.Error("stale affinity to a deregistered node blocked picking")
 	}

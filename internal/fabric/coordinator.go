@@ -48,12 +48,14 @@ type Config struct {
 	// KernelVersion overrides the build version folded into content hashes
 	// (tests); default prisim.Version.
 	KernelVersion string
-	// LocalSlots bounds points the coordinator executes on its own engine
+	// LocalSlots bounds matrix points the coordinator executes on Engine
 	// when no worker is free (or none is registered). 0 disables local
-	// execution: cold points wait for a worker.
+	// execution: a cold matrix point waits for a worker, or for a job that
+	// resolves the same key.
 	LocalSlots int
-	// Engine overrides the local-execution engine (tests); normally nil,
-	// building one sized to LocalSlots.
+	// Engine runs every point this node computes: job points resolved
+	// through Resolve and local-slot matrix points (required). Its pool
+	// should admit the job workers plus LocalSlots.
 	Engine *prisim.Engine
 	// WorkerSlots bounds concurrent points dispatched to one worker;
 	// <= 0 selects 4 (half a default worker's queue depth, so dispatch
@@ -92,19 +94,27 @@ type worker struct {
 }
 
 // flight is one cold point being computed (or queued to be). Duplicate
-// requests for the key — from other matrices, other clients, other nodes —
+// requests for the key — from other matrices, jobs, clients, nodes —
 // subscribe as waiters instead of spawning another run. All fields are
 // mutated only under the coordinator's mu.
 type flight struct {
+	Point
 	key     string
-	req     prisimclient.JobRequest
-	owner   *matrixRun // the matrix whose submission created the flight
+	owner   *matrixRun // the matrix whose submission created the flight; nil for a job's
 	waiters []*matrixRun
 	queued  bool
 
 	attempts   int
 	lastWorker string
 	lastErr    string
+
+	// Jobs waiting in Resolve watch wake, which is closed and replaced
+	// whenever the flight settles or goes back to the queue. entry or err
+	// is set before a settling close.
+	wake    chan struct{}
+	settled bool
+	entry   Entry
+	err     error
 }
 
 // matrixRun is the in-memory lifecycle of one submitted matrix. All fields
@@ -134,7 +144,7 @@ type matrixRun struct {
 type Coordinator struct {
 	cfg    Config
 	store  *Store
-	engine *prisim.Engine // local execution; nil when LocalSlots == 0
+	engine *prisim.Engine
 	kernel string
 	nodeID string
 
@@ -164,6 +174,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("fabric: Config.Store is required")
 	}
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("fabric: Config.Engine is required")
+	}
 	if cfg.NodeID == "" {
 		cfg.NodeID = "coordinator"
 	}
@@ -185,16 +198,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxPoints <= 0 {
 		cfg.MaxPoints = 4096
 	}
-	engine := cfg.Engine
-	if engine == nil && cfg.LocalSlots > 0 {
-		engine = prisim.NewEngine(prisim.WithParallelism(cfg.LocalSlots))
-	}
 	//lint:ignore ctxcheck the coordinator owns this lifecycle root: every dispatch context derives from it and Close cancels it
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:      cfg,
 		store:    cfg.Store,
-		engine:   engine,
+		engine:   cfg.Engine,
 		kernel:   cfg.KernelVersion,
 		nodeID:   cfg.NodeID,
 		rootCtx:  ctx,
@@ -262,6 +271,12 @@ func (c *Coordinator) Dispatched() uint64 {
 
 // KernelVersion reports the version folded into this coordinator's hashes.
 func (c *Coordinator) KernelVersion() string { return c.kernel }
+
+// Engine returns the Engine every point on this node runs on.
+func (c *Coordinator) Engine() *prisim.Engine { return c.engine }
+
+// StoreStats reports the result store's entry count and lookup counters.
+func (c *Coordinator) StoreStats() (entries int, hits, misses uint64) { return c.store.Stats() }
 
 // --- Matrix lifecycle ---
 
@@ -341,9 +356,9 @@ func (c *Coordinator) attachLocked(mr *matrixRun) {
 			mr.coalesced++
 			continue
 		}
-		f := &flight{key: key, req: req, owner: mr, waiters: []*matrixRun{mr}, queued: true}
+		f := &flight{Point: Point{Request: req}, key: key, owner: mr, waiters: []*matrixRun{mr}, wake: make(chan struct{})}
 		c.flights[key] = f
-		c.pending = append(c.pending, f)
+		c.enqueueLocked(f)
 	}
 	// An all-warm matrix already completed inside the last recordPointLocked.
 	c.cond.Broadcast()

@@ -89,7 +89,7 @@ func TestFabricByteIdenticalAndWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fabric.New(fabric.Config{Store: st, WorkerSlots: 2})
+	coord, err := fabric.New(fabric.Config{Store: st, Engine: prisim.NewEngine(), WorkerSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFabricByteIdenticalAndWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	coord2, err := fabric.New(fabric.Config{Store: st2})
+	coord2, err := fabric.New(fabric.Config{Store: st2, Engine: prisim.NewEngine()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +213,7 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	}
 	coord, err := fabric.New(fabric.Config{
 		Store:        st,
+		Engine:       prisim.NewEngine(),
 		RetryBackoff: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -297,7 +298,7 @@ func TestCoordinatorRestartResumesInFlightMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	workerURL := bootWorker(t, "node-a")
-	coord, err := fabric.New(fabric.Config{Store: st, WorkerSlots: 1})
+	coord, err := fabric.New(fabric.Config{Store: st, Engine: prisim.NewEngine(), WorkerSlots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestCoordinatorRestartResumesInFlightMatrix(t *testing.T) {
 	if preDone == 0 {
 		t.Fatal("durable store lost the completed points")
 	}
-	coord2, err := fabric.New(fabric.Config{Store: st2, WorkerSlots: 2})
+	coord2, err := fabric.New(fabric.Config{Store: st2, Engine: prisim.NewEngine(), WorkerSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestOverlappingMatricesCoalescePoints(t *testing.T) {
 	}
 	// No workers, no local slots: nothing can execute until we add capacity,
 	// so both submissions observe the shared point as in-flight.
-	coord, err := fabric.New(fabric.Config{Store: st})
+	coord, err := fabric.New(fabric.Config{Store: st, Engine: prisim.NewEngine()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestRegisterWorkerRefusesVersionSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := fabric.New(fabric.Config{Store: st})
+	coord, err := fabric.New(fabric.Config{Store: st, Engine: prisim.NewEngine()})
 	if err != nil {
 		t.Fatal(err)
 	}

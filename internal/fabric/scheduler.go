@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"prisim"
@@ -39,7 +40,7 @@ func (c *Coordinator) schedule() {
 				go c.execOnWorker(w, f)
 				continue
 			}
-			if c.engine != nil && c.localInflight < c.cfg.LocalSlots {
+			if c.localInflight < c.cfg.LocalSlots {
 				f.queued = false
 				c.localInflight++
 				c.wg.Add(1)
@@ -77,7 +78,7 @@ func (c *Coordinator) dispatchableLocked() bool {
 	if len(c.pending) == 0 {
 		return false
 	}
-	if c.engine != nil && c.localInflight < c.cfg.LocalSlots {
+	if c.localInflight < c.cfg.LocalSlots {
 		return true
 	}
 	for _, f := range c.pending {
@@ -109,7 +110,7 @@ func affinityKey(req prisimclient.JobRequest) string {
 func (c *Coordinator) pickWorkerLocked(f *flight) *worker {
 	w := c.pickWorkerAtLocked(f, true)
 	if w != nil {
-		c.affinity[affinityKey(f.req)] = w.id
+		c.affinity[affinityKey(f.Request)] = w.id
 	}
 	return w
 }
@@ -126,7 +127,7 @@ func (c *Coordinator) pickWorkerAtLocked(f *flight, advance bool) *worker {
 	}
 	// Workload affinity first: reusing the node that already fast-forwarded
 	// this workload turns the run's warm-up into a snapshot clone.
-	if id, ok := c.affinity[affinityKey(f.req)]; ok {
+	if id, ok := c.affinity[affinityKey(f.Request)]; ok {
 		if w := c.workers[id]; w != nil && eligible(w) && w.id != f.lastWorker {
 			return w
 		}
@@ -160,7 +161,7 @@ func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 	defer c.wg.Done()
 	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
 	defer cancel()
-	res, by, err := runPoint(ctx, w.client, f.req)
+	res, by, err := runPoint(ctx, w.client, f.Request)
 
 	c.mu.Lock()
 	w.inflight--
@@ -184,15 +185,15 @@ func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 	}
 	c.mu.Unlock()
 
-	c.pointDone(f, res, by)
+	c.pointDone(f, res, nil, by)
 }
 
-// execLocal runs one point on the coordinator's own engine.
+// execLocal runs one point on a local slot.
 func (c *Coordinator) execLocal(f *flight) {
 	defer c.wg.Done()
 	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
 	defer cancel()
-	res, err := c.engine.Simulate(ctx, optionsForPoint(f.req))
+	res, out, err := c.execute(ctx, f)
 
 	c.mu.Lock()
 	c.localInflight--
@@ -203,21 +204,36 @@ func (c *Coordinator) execLocal(f *flight) {
 	}
 	c.mu.Unlock()
 
-	c.pointDone(f, res, c.nodeID)
+	c.pointDone(f, res, out, c.nodeID)
 }
 
-// pointDone persists a computed result and resolves its flight. The store
-// append happens outside c.mu (lock order: c.mu is never held across
-// store.mu acquisition from exec goroutines).
-func (c *Coordinator) pointDone(f *flight, res prisim.Result, by string) {
-	if err := c.store.Put(Entry{
+// execute runs a point on the shared Engine.
+func (c *Coordinator) execute(ctx context.Context, f *flight) (prisim.Result, []byte, error) {
+	opts := f.Request.Options()
+	if f.Program == nil {
+		res, err := c.engine.Simulate(ctx, opts)
+		return res, nil, err
+	}
+	opts.MemLimit = f.MemLimit
+	pr, err := c.engine.SimulateProgram(ctx, f.Program, opts)
+	return pr.Result, pr.Output, err
+}
+
+// pointDone persists a computed result and resolves its flight for every
+// waiting matrix and job. The store append happens outside c.mu (lock
+// order: c.mu is never held across store.mu acquisition from exec
+// goroutines).
+func (c *Coordinator) pointDone(f *flight, res prisim.Result, out []byte, by string) Entry {
+	e := Entry{
 		Key:        f.key,
 		Kernel:     c.kernel,
 		ComputedBy: by,
 		Created:    time.Now(),
-		Request:    f.req,
+		Request:    f.Request,
 		Result:     res,
-	}); err != nil {
+		Output:     out,
+	}
+	if err := c.store.Put(e); err != nil {
 		c.logf("point=%.12s store append failed: %v", f.key, err)
 	}
 
@@ -231,7 +247,10 @@ func (c *Coordinator) pointDone(f *flight, res prisim.Result, by string) {
 		}
 		c.recordPointLocked(mr, f.key, res, by, src)
 	}
+	f.settled, f.entry = true, e
+	c.wakeLocked(f)
 	c.cond.Broadcast()
+	return e
 }
 
 // pointFailedLocked re-queues a failed point with exponential backoff, or —
@@ -247,10 +266,13 @@ func (c *Coordinator) pointFailedLocked(f *flight, nodeID string, err error) {
 	if f.attempts >= c.cfg.MaxAttempts {
 		delete(c.flights, f.key)
 		c.logf("point=%.12s failed after %d attempts: %v", f.key, f.attempts, err)
+		msg := fmt.Sprintf("point %s/%s (key %.12s...) failed after %d attempts: %v",
+			f.Request.Benchmark, f.Request.Policy, f.key, f.attempts, err)
 		for _, mr := range f.waiters {
-			c.failRunLocked(mr, fmt.Sprintf("point %s/%s (key %.12s...) failed after %d attempts: %v",
-				f.req.Benchmark, f.req.Policy, f.key, f.attempts, err))
+			c.failRunLocked(mr, msg)
 		}
+		f.settled, f.err = true, errors.New(msg)
+		c.wakeLocked(f)
 		return
 	}
 	backoff := c.cfg.RetryBackoff << (f.attempts - 1)
@@ -268,12 +290,124 @@ func (c *Coordinator) pointFailedLocked(f *flight, nodeID string, err error) {
 		}
 		c.mu.Lock()
 		if !c.closed && !f.queued {
-			f.queued = true
-			c.pending = append(c.pending, f)
-			c.cond.Broadcast()
+			c.enqueueLocked(f)
 		}
 		c.mu.Unlock()
 	}()
+}
+
+// enqueueLocked puts a flight on the dispatch queue and wakes the
+// scheduler and any job waiting on it (which may take it over).
+func (c *Coordinator) enqueueLocked(f *flight) {
+	f.queued = true
+	c.pending = append(c.pending, f)
+	c.wakeLocked(f)
+	c.cond.Broadcast()
+}
+
+// wakeLocked wakes every job waiting on f in Resolve.
+func (c *Coordinator) wakeLocked(f *flight) {
+	close(f.wake)
+	f.wake = make(chan struct{})
+}
+
+// Point is one job's simulation point, resolved by Resolve.
+type Point struct {
+	// Request names the point with its budget explicit and CacheKey set
+	// to its content hash; it is recorded with the result.
+	Request prisimclient.JobRequest
+	// Program is the assembled image of a program point (nil for a named
+	// workload); MemLimit caps its simulated memory footprint.
+	Program  *prisim.Program
+	MemLimit uint64
+}
+
+// Resolve is the one path by which a job's point resolves: from the
+// durable store; else by joining the point's in-flight run, whichever
+// matrix or job started it; else by running it on the shared Engine on the
+// caller's goroutine under ctx. A point a matrix has queued but not yet
+// dispatched is taken over and run here. A computed result is stored once
+// and handed to every waiting matrix and job; stored reports a store hit.
+// If ctx ends mid-run, matrices still waiting on the point get it back on
+// the queue without it counting as a failed attempt.
+func (c *Coordinator) Resolve(ctx context.Context, pt Point) (e Entry, stored bool, err error) {
+	key := pt.Request.CacheKey
+	for {
+		c.mu.Lock()
+		f := c.flights[key]
+		switch {
+		case f == nil:
+			if e, ok := c.store.Get(key); ok {
+				c.mu.Unlock()
+				return e, true, nil
+			}
+			f = &flight{Point: pt, key: key, wake: make(chan struct{})}
+			c.flights[key] = f
+		case f.queued: // a matrix queued it; take it over
+			f.queued = false
+			c.pending = slices.DeleteFunc(c.pending, func(p *flight) bool { return p == f })
+		default:
+			wake := f.wake
+			c.mu.Unlock()
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				return Entry{}, false, ctx.Err()
+			}
+			c.mu.Lock()
+			settled, e, err := f.settled, f.entry, f.err
+			c.mu.Unlock()
+			if settled {
+				return e, false, err
+			}
+			continue
+		}
+		c.mu.Unlock()
+		e, err := c.runOwned(ctx, f)
+		return e, false, err
+	}
+}
+
+// runOwned runs a flight the calling job owns and settles it through
+// pointDone. A run that fails, is cancelled or panics releases the flight.
+func (c *Coordinator) runOwned(ctx context.Context, f *flight) (Entry, error) {
+	ran := false
+	defer func() {
+		if !ran { // the run panicked; the panic propagates to the job
+			c.mu.Lock()
+			c.releaseLocked(f, errors.New("point run panicked"))
+			c.mu.Unlock()
+		}
+	}()
+	res, out, err := c.execute(ctx, f)
+	ran = true
+	if err != nil {
+		failure := err
+		if ctx.Err() != nil {
+			failure = nil // the job gave up; the point did not fail
+		}
+		c.mu.Lock()
+		c.releaseLocked(f, failure)
+		c.mu.Unlock()
+		return Entry{}, err
+	}
+	return c.pointDone(f, res, out, c.nodeID), nil
+}
+
+// releaseLocked hands back a flight whose owning job did not complete it.
+// With no matrix waiting, the flight is dropped and waiting jobs start
+// afresh. Otherwise it returns to the queue: as a failed attempt when the
+// run failed, free of charge when the job only gave up.
+func (c *Coordinator) releaseLocked(f *flight, failure error) {
+	switch {
+	case len(f.waiters) == 0:
+		delete(c.flights, f.key)
+		c.wakeLocked(f)
+	case failure != nil:
+		c.pointFailedLocked(f, c.nodeID, failure)
+	default:
+		c.enqueueLocked(f)
+	}
 }
 
 // runPoint drives one point through a worker's job API: submit, wait,
@@ -318,18 +452,4 @@ func runPoint(ctx context.Context, client *prisimclient.Client, req prisimclient
 		return prisim.Result{}, "", fmt.Errorf("job %s: done without a simulate result", job.ID)
 	}
 	return *jr.Result, jr.ComputedBy, nil
-}
-
-// optionsForPoint maps a fully explicit point request onto engine options.
-func optionsForPoint(req prisimclient.JobRequest) prisim.Options {
-	return prisim.Options{
-		Benchmark:         req.Benchmark,
-		Width:             req.Width,
-		Policy:            prisim.Policy(req.Policy),
-		PhysRegs:          req.PhysRegs,
-		RenameInline:      req.RenameInline,
-		DelayedAllocation: req.DelayedAllocation,
-		FastForward:       req.FastForward,
-		Run:               req.Run,
-	}
 }

@@ -112,13 +112,12 @@ type shared struct {
 	sem chan struct{} // bounded worker pool
 
 	mu         sync.Mutex
-	cache      map[runKey]*entry      // guarded by mu
-	progress   io.Writer              // guarded by mu
-	onProgress func(done, total int)  // guarded by mu
-	submitted  int                    // guarded by mu
-	completed  int                    // guarded by mu
-	hits       int                    // guarded by mu; requests served by an already-completed cache entry
-	coalesced  int                    // guarded by mu; requests that joined another caller's in-flight run
+	cache      map[runKey]*entry     // guarded by mu
+	onProgress func(done, total int) // guarded by mu
+	submitted  int                   // guarded by mu
+	completed  int                   // guarded by mu
+	hits       int                   // guarded by mu; requests served by an already-completed cache entry
+	coalesced  int                   // guarded by mu; requests that joined another caller's in-flight run
 
 	// Fast-forward snapshot cache (see snapshot.go).
 	snaps      map[snapKey]*snapEntry // guarded by mu
@@ -252,13 +251,6 @@ func (r *Runner) viewDone(counted bool) {
 	r.view.mu.Unlock()
 }
 
-// SetProgress directs a one-line-per-completed-run log to w (nil disables).
-func (r *Runner) SetProgress(w io.Writer) {
-	r.s.mu.Lock()
-	r.s.progress = w
-	r.s.mu.Unlock()
-}
-
 // OnProgress registers fn to be called after every completed run with the
 // number of runs finished and the number submitted so far. Calls are
 // serialized; fn must not call back into the Runner.
@@ -364,10 +356,6 @@ func (r *Runner) RunCtx(ctx context.Context, w workloads.Workload, cfg ooo.Confi
 			r.s.submitted--
 		} else {
 			r.s.completed++
-			if r.s.progress != nil {
-				fmt.Fprintf(r.s.progress, "run %-9s %s %-14s prs=%-3d IPC %.3f\n",
-					w.Name, cfg.Name, key.policy, key.prs, e.res.IPC)
-			}
 			hook, done, total = r.s.onProgress, r.s.completed, r.s.submitted
 		}
 		r.s.mu.Unlock()

@@ -21,16 +21,7 @@ func TestFabricEndpointsRoundTrip(t *testing.T) {
 		workerTS.Close()
 	})
 
-	st, err := fabric.OpenStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := fabric.New(fabric.Config{Store: st, NodeID: "coord"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	coordSrv := New(Config{Workers: 1, NodeID: "coord", Store: st, Coordinator: coord})
+	coordSrv := New(Config{Workers: 1, Coordinator: coordinator(t, fabric.Config{NodeID: "coord"}), Fabric: true})
 	coordTS := httptest.NewServer(coordSrv.Handler())
 	t.Cleanup(func() {
 		coordSrv.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -30,11 +31,8 @@ const maxBodyBytes = 1 << 20
 //	GET    /metrics                 Prometheus text format
 //	GET    /healthz, /readyz        liveness / readiness
 //
-// Every /api/v1 route is also served at its legacy unversioned path
-// (e.g. POST /jobs) for one release; legacy responses carry a
-// "Deprecation: true" header so callers can find themselves before the
-// aliases disappear. When a fabric Coordinator is configured, the control
-// plane mounts under /api/v1/fabric:
+// With Config.Fabric set, the coordinator's control plane mounts under
+// /api/v1/fabric:
 //
 //	POST   /api/v1/fabric/matrices             submit a matrix (202/200)
 //	GET    /api/v1/fabric/matrices             list matrices
@@ -45,39 +43,27 @@ const maxBodyBytes = 1 << 20
 //	DELETE /api/v1/fabric/workers/{id}         deregister
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// handle registers one route under /api/v1 and, for the legacy-alias
-	// release window, under its old unversioned path with a Deprecation
-	// header.
-	handle := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
-			h(w, r)
-		})
-	}
-	handle("POST", "/jobs", s.handleSubmit)
-	handle("GET", "/jobs", s.handleList)
-	handle("GET", "/jobs/{id}", s.handleStatus)
-	handle("GET", "/jobs/{id}/result", s.handleResult)
-	handle("GET", "/jobs/{id}/events", s.handleEvents)
-	handle("DELETE", "/jobs/{id}", s.handleCancel)
-	handle("POST", "/programs", s.handleProgramCheck)
-	handle("GET", "/benchmarks", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("POST /api/v1/programs", s.handleProgramCheck)
+	mux.HandleFunc("GET /api/v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
 		names := []string{}
 		for _, b := range prisim.Benchmarks() {
 			names = append(names, b.Name)
 		}
 		writeJSON(w, http.StatusOK, names)
 	})
-	handle("GET", "/experiments", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /api/v1/experiments", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, prisim.ExperimentNames())
 	})
-	handle("GET", "/version", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /api/v1/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"version": prisim.Version})
 	})
-	if s.coord != nil {
-		// The fabric control plane is v1-native: no legacy aliases.
+	if s.cfg.Fabric {
 		mux.HandleFunc("POST /api/v1/fabric/matrices", s.handleMatrixSubmit)
 		mux.HandleFunc("GET /api/v1/fabric/matrices", s.handleMatrixList)
 		mux.HandleFunc("GET /api/v1/fabric/matrices/{id}", s.handleMatrixStatus)
@@ -130,26 +116,11 @@ func (s *Server) logMiddleware(next http.Handler) http.Handler {
 		id := reqID.Add(1)
 		s.metrics.incHTTPRequest()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		w.Header().Set("X-Request-Id", "r"+itoa(id))
+		w.Header().Set("X-Request-Id", "r"+strconv.FormatUint(id, 10))
 		start := time.Now()
 		next.ServeHTTP(rec, r)
 		s.logf("req=r%d method=%s path=%s status=%d dur=%s", id, r.Method, r.URL.Path, rec.status, time.Since(start).Round(time.Microsecond))
 	})
-}
-
-// itoa avoids pulling strconv into the hot logging path signature churn.
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // writeJSON writes a JSON response with status code.
@@ -289,7 +260,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		res, tables, output, by := j.payload()
 		writeJSON(w, http.StatusOK, prisimclient.JobResult{
 			ID: j.id, Result: res, Tables: tables, Output: output,
-			KernelVersion: prisim.Version, CacheKey: j.cacheKey, ComputedBy: by,
+			KernelVersion: prisim.Version, CacheKey: j.point.Request.CacheKey, ComputedBy: by,
 		})
 	case prisimclient.StateFailed, prisimclient.StateCancelled:
 		writeError(w, http.StatusGone, "job "+string(v.State)+": "+v.Error)
@@ -323,12 +294,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	var store storeSample
-	if s.store != nil {
-		store.present = true
-		store.entries, store.hits, store.misses = s.store.Stats()
-	}
+	store.entries, store.hits, store.misses = s.coord.StoreStats()
 	var sb strings.Builder
-	s.metrics.render(&sb, s.engine.CacheStats(), depth, capacity, running, tracked, draining, store)
+	s.metrics.render(&sb, s.coord.Engine().CacheStats(), depth, capacity, running, tracked, draining, store)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(sb.String()))
 }

@@ -6,39 +6,36 @@ import (
 	"time"
 
 	"prisim"
-	"prisim/internal/asm"
+	"prisim/internal/fabric"
 	"prisim/prisimclient"
 )
 
 // job is the server-side state of one submitted request. The exported view
 // (prisimclient.Job) is produced under the job's lock by view().
 type job struct {
-	id       string
-	req      prisimclient.JobRequest
-	cacheKey string // content hash of a simulate point or program run; "" for experiments; set before enqueue, immutable after
+	id    string
+	req   prisimclient.JobRequest
+	point fabric.Point // simulate and program jobs: the point to resolve, its CacheKey set; set before enqueue, immutable after
 
-	// Program jobs only; assembled and analyzed at submit, immutable after.
-	prog      *asm.Program
-	imageHash string
-	warnings  []prisimclient.Diagnostic // priscan warning findings
+	warnings []prisimclient.Diagnostic // program jobs: priscan warning findings; set before enqueue, immutable after
 
 	ctx    context.Context    // derived from the server's root context
 	cancel context.CancelFunc // DELETE and drain-deadline both land here
 
-	mu        sync.Mutex
-	state     prisimclient.JobState // guarded by mu
-	errMsg    string                // guarded by mu
-	done, tot int                   // guarded by mu; progress: resolved / requested simulation points
-	created   time.Time             // guarded by mu
-	started   time.Time             // guarded by mu
-	finished  time.Time             // guarded by mu
-	result     *prisim.Result // guarded by mu; simulate and program jobs
-	tables     []prisim.Table // guarded by mu; experiment jobs
-	output     []byte         // guarded by mu; program console output
-	computedBy string         // guarded by mu; node that produced the result
-	subs      map[chan prisimclient.Event]struct{} // guarded by mu
-	doneCh    chan struct{} // closed when the job reaches a terminal state
-	cancelAsk bool          // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
+	mu         sync.Mutex
+	state      prisimclient.JobState                // guarded by mu
+	errMsg     string                               // guarded by mu
+	done, tot  int                                  // guarded by mu; progress: resolved / requested simulation points
+	created    time.Time                            // guarded by mu
+	started    time.Time                            // guarded by mu
+	finished   time.Time                            // guarded by mu
+	result     *prisim.Result                       // guarded by mu; simulate and program jobs
+	tables     []prisim.Table                       // guarded by mu; experiment jobs
+	output     []byte                               // guarded by mu; program console output
+	computedBy string                               // guarded by mu; node that produced the result
+	subs       map[chan prisimclient.Event]struct{} // guarded by mu
+	doneCh     chan struct{}                        // closed when the job reaches a terminal state
+	cancelAsk  bool                                 // guarded by mu; DELETE arrived (distinguishes cancel from timeout)
 }
 
 func newJob(id string, req prisimclient.JobRequest, parent context.Context, now time.Time) *job {
@@ -73,7 +70,7 @@ func (j *job) viewLocked() prisimclient.Job {
 		Started:       j.started,
 		Finished:      j.finished,
 		KernelVersion: prisim.Version,
-		CacheKey:      j.cacheKey,
+		CacheKey:      j.point.Request.CacheKey,
 		ComputedBy:    j.computedBy,
 		Warnings:      j.warnings,
 	}
@@ -176,25 +173,18 @@ func (j *job) cancelRequested() bool {
 	return j.cancelAsk
 }
 
-// setComputedBy records which node's engine produced the job's result.
-func (j *job) setComputedBy(node string) {
+// setPoint stores a resolved point's result, console output, and
+// producing node (before finish flips the state).
+func (j *job) setPoint(e fabric.Entry) {
 	j.mu.Lock()
-	j.computedBy = node
+	j.result, j.output, j.computedBy = &e.Result, e.Output, e.ComputedBy
 	j.mu.Unlock()
 }
 
-// setResult stores a finished job's payload (before finish flips the state).
-func (j *job) setResult(res *prisim.Result, tables []prisim.Table) {
+// setTables stores an experiment's tables (before finish flips the state).
+func (j *job) setTables(tables []prisim.Table) {
 	j.mu.Lock()
-	j.result = res
 	j.tables = tables
-	j.mu.Unlock()
-}
-
-// setOutput stores a program job's console output.
-func (j *job) setOutput(out []byte) {
-	j.mu.Lock()
-	j.output = out
 	j.mu.Unlock()
 }
 

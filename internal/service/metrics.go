@@ -93,10 +93,9 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// storeSample is a point-in-time snapshot of the durable result store for
-// the metrics page; present is false on servers running without one.
+// storeSample is a point-in-time snapshot of the result store for the
+// metrics page.
 type storeSample struct {
-	present      bool
 	entries      int
 	hits, misses uint64
 }
@@ -154,14 +153,12 @@ func (m *metrics) render(sb *strings.Builder, cache prisim.CacheStats, queueDept
 	}
 	gauge("prisimd_draining", "1 while the server is draining (readyz fails).", d)
 
-	if store.present {
-		gauge("prisimd_store_entries", "Results in the durable content-addressed store.", store.entries)
-		counter("prisimd_store_hits_total", "Store lookups that found an entry.", store.hits)
-		counter("prisimd_store_misses_total", "Store lookups that found nothing.", store.misses)
-		counter("prisimd_jobs_store_served_total", "Simulate jobs resolved from the durable store without an engine run.", storeHit)
-	}
+	gauge("prisimd_store_entries", "Results in the content-addressed store.", store.entries)
+	counter("prisimd_store_hits_total", "Store lookups that found an entry.", store.hits)
+	counter("prisimd_store_misses_total", "Store lookups that found nothing.", store.misses)
+	counter("prisimd_jobs_store_served_total", "Simulate and program jobs resolved from the store without an engine run.", storeHit)
 
-	counter("prisimd_cache_runs_executed_total", "Distinct simulations executed by the shared engine.", uint64(cache.Executed))
+	counter("prisimd_cache_runs_executed_total", "Distinct simulations executed by the shared engine, for jobs and matrix points.", uint64(cache.Executed))
 	counter("prisimd_cache_hits_total", "Requests answered from the completed-run cache.", uint64(cache.Hits))
 	counter("prisimd_cache_coalesced_total", "Requests coalesced onto another caller's in-flight run.", uint64(cache.Coalesced))
 	ratio := 0.0

@@ -109,7 +109,7 @@ func TestProgramResubmissionServedFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := boot(t, Config{Workers: 1, NodeID: "prog-node", Store: st})
+	_, c := boot(t, Config{Workers: 1, Coordinator: coordinator(t, fabric.Config{Store: st, NodeID: "prog-node"})})
 
 	run := func() *prisimclient.JobResult {
 		t.Helper()

@@ -1,7 +1,8 @@
 // Package service implements prisimd: simulation-as-a-service over the
-// public prisim Engine. One shared Engine backs every job, so identical
-// simulation points submitted by different clients coalesce in the
-// harness's singleflight cache; a bounded queue applies backpressure (429 +
+// public prisim Engine. Every simulate and program job resolves its point
+// through one fabric.Coordinator on one shared Engine, so identical points
+// submitted by different clients, or by a job and a matrix, are stored once
+// and simulated once; a bounded queue applies backpressure (429 +
 // Retry-After) instead of collapsing under load; a worker pool sized to
 // GOMAXPROCS executes jobs with per-job timeout, panic isolation, and
 // context-propagated cancellation; and every job streams progress over SSE.
@@ -10,6 +11,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -129,39 +131,37 @@ type Config struct {
 	// JobTimeout bounds one job's execution (0 = no limit).
 	JobTimeout time.Duration
 	// Budget is the default per-run measurement budget (zero fields keep
-	// the engine defaults); requests may override per job.
+	// the engine defaults); requests may override per job. It must match
+	// the Coordinator's Engine budget.
 	Budget struct{ FastForward, Run uint64 }
 	// Logger receives structured request/job logs; nil discards them.
 	Logger *log.Logger
-	// Engine overrides the server-built engine (tests); normally nil.
-	Engine *prisim.Engine
 
 	// Programs is the sandbox for user-submitted program jobs; zero fields
 	// take the defaults (see ProgramLimits).
 	Programs ProgramLimits
 
-	// NodeID stamps ComputedBy on results this node executes; "" selects
-	// "local".
+	// NodeID stamps ComputedBy on results the server-built coordinator
+	// computes; "" selects "local".
 	NodeID string
-	// Store, when non-nil, is the durable content-addressed result store:
-	// simulate jobs whose point is already recorded resolve from it without
-	// touching the engine, and fresh results are appended to it.
-	Store *fabric.Store
-	// Coordinator, when non-nil, mounts the fabric control plane
-	// (/api/v1/fabric/...) on this server's handler.
+	// Coordinator resolves every simulate and program point (store, then
+	// in-flight run, then its Engine) and owns the Engine experiment jobs
+	// also run on. Nil builds one over a memory-only store and an Engine
+	// sized to Workers at Budget; the server closes it with itself.
 	Coordinator *fabric.Coordinator
+	// Fabric mounts the coordinator's control plane (/api/v1/fabric/...)
+	// on this server's handler.
+	Fabric bool
 }
 
 // Server owns the job queue, worker pool, job registry, and metrics. Create
 // one with New, expose Handler over HTTP, and stop it with Drain or Close.
 type Server struct {
-	cfg     Config
-	engine  *prisim.Engine
-	logger  *log.Logger
-	metrics *metrics
-	nodeID  string
-	store   *fabric.Store // nil when the server runs without durability
-	coord   *fabric.Coordinator
+	cfg       Config
+	logger    *log.Logger
+	metrics   *metrics
+	coord     *fabric.Coordinator
+	ownsCoord bool // built by New, so closed with the server
 
 	rootCtx  context.Context // parent of every job context
 	rootStop context.CancelFunc
@@ -173,7 +173,6 @@ type Server struct {
 	jobs     map[string]*job // guarded by mu
 	order    []string        // guarded by mu; insertion order for listing
 	nextID   uint64          // guarded by mu
-	nextReq  uint64          // guarded by mu
 	running  int             // guarded by mu
 	draining bool            // guarded by mu
 }
@@ -187,31 +186,36 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
 	cfg.Programs = cfg.Programs.withDefaults()
-	eng := cfg.Engine
-	if eng == nil {
-		eng = prisim.NewEngine(
-			prisim.WithBudget(cfg.Budget.FastForward, cfg.Budget.Run),
-			prisim.WithParallelism(cfg.Workers),
-		)
+	coord := cfg.Coordinator
+	if coord == nil {
+		st, err := fabric.OpenStore("")
+		if err == nil {
+			coord, err = fabric.New(fabric.Config{
+				Store:  st,
+				NodeID: cmp.Or(cfg.NodeID, "local"),
+				Engine: prisim.NewEngine(
+					prisim.WithBudget(cfg.Budget.FastForward, cfg.Budget.Run),
+					prisim.WithParallelism(cfg.Workers),
+				),
+			})
+		}
+		if err != nil {
+			// Unreachable: a fresh memory-only store has nothing to replay.
+			panic("service: building the coordinator: " + err.Error())
+		}
 	}
 	//lint:ignore ctxcheck the server owns this lifecycle root: every job context derives from it and Close/Drain cancel it
 	ctx, stop := context.WithCancel(context.Background())
-	nodeID := cfg.NodeID
-	if nodeID == "" {
-		nodeID = "local"
-	}
 	s := &Server{
-		cfg:      cfg,
-		engine:   eng,
-		logger:   cfg.Logger,
-		metrics:  newMetrics(),
-		nodeID:   nodeID,
-		store:    cfg.Store,
-		coord:    cfg.Coordinator,
-		rootCtx:  ctx,
-		rootStop: stop,
-		queue:    make(chan *job, cfg.QueueDepth),
-		jobs:     make(map[string]*job),
+		cfg:       cfg,
+		logger:    cfg.Logger,
+		metrics:   newMetrics(),
+		coord:     coord,
+		ownsCoord: cfg.Coordinator == nil,
+		rootCtx:   ctx,
+		rootStop:  stop,
+		queue:     make(chan *job, cfg.QueueDepth),
+		jobs:      make(map[string]*job),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -222,7 +226,7 @@ func New(cfg Config) *Server {
 
 // Engine exposes the shared engine (tests compare service results against
 // direct calls on the very same cache).
-func (s *Server) Engine() *prisim.Engine { return s.engine }
+func (s *Server) Engine() *prisim.Engine { return s.coord.Engine() }
 
 // logf writes one structured log line if a logger is configured.
 func (s *Server) logf(format string, args ...any) {
@@ -274,41 +278,29 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 		}
 	}
 
-	// Content-address the point: resolve the effective budget (request, then
-	// server config, then the universal defaults inside CacheKeyFor) and hash
-	// it. A client-supplied key must agree — a mismatch means the client
-	// hashed different inputs than this node will simulate, almost always
-	// kernel-version skew, and trusting it would poison every store keyed on
-	// the hash.
-	var cacheKey, imageHash string
+	// Content-address the point: make its budget explicit (request, then
+	// server config, then the universal defaults) and hash it. A
+	// client-supplied key must agree — a mismatch means the client hashed
+	// different inputs than this node will simulate, almost always
+	// kernel-version skew, and trusting it would poison every store keyed
+	// on the hash.
+	var pt fabric.Point
 	switch req.Kind {
 	case prisimclient.KindSimulate:
-		eff := req
-		if eff.FastForward == 0 {
-			eff.FastForward = s.cfg.Budget.FastForward
-		}
-		if eff.Run == 0 {
-			eff.Run = s.cfg.Budget.Run
-		}
-		cacheKey = prisimclient.CacheKeyFor(prisim.Version, eff)
-		if req.CacheKey != "" && req.CacheKey != cacheKey {
-			return nil, fmt.Errorf("%w: client sent %.12s..., server (kernel %s) computes %.12s...",
-				ErrCacheKeyMismatch, req.CacheKey, prisim.Version, cacheKey)
-		}
+		pt.Request = req
+		pt.Request.FastForward = cmp.Or(req.FastForward, s.cfg.Budget.FastForward, prisim.DefaultFastForward)
+		pt.Request.Run = cmp.Or(req.Run, s.cfg.Budget.Run, prisim.DefaultRun)
+		pt.Request.CacheKey = prisimclient.CacheKeyFor(prisim.Version, pt.Request)
 	case prisimclient.KindProgram:
 		// Programs key on the assembled image's content hash, not the
-		// source text, with the budget resolved to what will actually run
-		// (Run 0 = the sandbox instruction cap).
-		imageHash = checked.prog.SHA256()
-		eff := req
-		if eff.Run == 0 {
-			eff.Run = s.cfg.Programs.MaxRun
-		}
-		cacheKey = prisimclient.CacheKeyForProgram(prisim.Version, imageHash, eff)
-		if req.CacheKey != "" && req.CacheKey != cacheKey {
-			return nil, fmt.Errorf("%w: client sent %.12s..., server (kernel %s) computes %.12s...",
-				ErrCacheKeyMismatch, req.CacheKey, prisim.Version, cacheKey)
-		}
+		// source text, with Run 0 resolved to the sandbox instruction cap.
+		pt = fabric.Point{Request: req, Program: prisim.NewProgram(checked.prog), MemLimit: s.cfg.Programs.MaxMemoryBytes}
+		pt.Request.Run = cmp.Or(req.Run, s.cfg.Programs.MaxRun)
+		pt.Request.CacheKey = prisimclient.CacheKeyForProgram(prisim.Version, checked.prog.SHA256(), pt.Request)
+	}
+	if req.CacheKey != "" && req.CacheKey != pt.Request.CacheKey {
+		return nil, fmt.Errorf("%w: client sent %.12s..., server (kernel %s) computes %.12s...",
+			ErrCacheKeyMismatch, req.CacheKey, prisim.Version, pt.Request.CacheKey)
 	}
 
 	s.mu.Lock()
@@ -319,10 +311,8 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	j := newJob(id, req, s.rootCtx, time.Now())
-	j.cacheKey = cacheKey
-	j.imageHash = imageHash
+	j.point = pt
 	if checked != nil {
-		j.prog = checked.prog
 		j.warnings = checked.warnings
 	}
 	select {
@@ -490,78 +480,27 @@ func (s *Server) runJob(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		defer cancel()
 	}
-	eng := s.engine.ProgressView(j.setProgress)
-
 	var err error
 	started := time.Now()
 	switch j.req.Kind {
-	case prisimclient.KindSimulate:
-		if s.store != nil {
-			if e, ok := s.store.Get(j.cacheKey); ok {
-				// Warm in the durable store: the result is a pure function of
-				// the hashed inputs, so serve it without touching the engine.
-				res := e.Result
-				j.setComputedBy(e.ComputedBy)
-				j.setProgress(1, 1)
-				j.setResult(&res, nil)
-				s.metrics.incStoreHit()
-				break
-			}
-		}
-		var res prisim.Result
-		res, err = eng.Simulate(ctx, j.req.Options())
+	case prisimclient.KindSimulate, prisimclient.KindProgram:
+		var e fabric.Entry
+		var stored bool
+		e, stored, err = s.coord.Resolve(ctx, j.point)
 		if err == nil {
-			j.setComputedBy(s.nodeID)
-			j.setResult(&res, nil)
-			s.metrics.observeSimulate(res.Committed, time.Since(started))
-			if s.store != nil {
-				if perr := s.store.Put(fabric.Entry{
-					Key: j.cacheKey, Kernel: prisim.Version, ComputedBy: s.nodeID,
-					Created: time.Now(), Request: j.req, Result: res,
-				}); perr != nil {
-					s.logf("job=%s store append failed: %v", j.id, perr)
-				}
+			j.setPoint(e)
+			j.setProgress(1, 1)
+			if stored {
+				s.metrics.incStoreHit()
+			} else {
+				s.metrics.observeSimulate(e.Result.Committed, time.Since(started))
 			}
 		}
 	case prisimclient.KindExperiment:
 		var tables []prisim.Table
-		tables, err = eng.ExperimentTables(ctx, j.req.Experiment, j.req.Options())
+		tables, err = s.coord.Engine().ProgressView(j.setProgress).ExperimentTables(ctx, j.req.Experiment, j.req.Options())
 		if err == nil {
-			j.setResult(nil, tables)
-		}
-	case prisimclient.KindProgram:
-		if s.store != nil {
-			if e, ok := s.store.Get(j.cacheKey); ok {
-				res := e.Result
-				j.setComputedBy(e.ComputedBy)
-				j.setProgress(1, 1)
-				j.setResult(&res, nil)
-				j.setOutput(e.Output)
-				s.metrics.incStoreHit()
-				break
-			}
-		}
-		opts := j.req.Options()
-		if opts.Run == 0 {
-			opts.Run = s.cfg.Programs.MaxRun
-		}
-		opts.MemLimit = s.cfg.Programs.MaxMemoryBytes
-		var pres prisim.ProgramResult
-		pres, err = s.engine.SimulateProgram(ctx, prisim.NewProgram(j.prog), opts)
-		if err == nil {
-			j.setComputedBy(s.nodeID)
-			j.setProgress(1, 1)
-			j.setResult(&pres.Result, nil)
-			j.setOutput(pres.Output)
-			s.metrics.observeSimulate(pres.Committed, time.Since(started))
-			if s.store != nil {
-				if perr := s.store.Put(fabric.Entry{
-					Key: j.cacheKey, Kernel: prisim.Version, ComputedBy: s.nodeID,
-					Created: time.Now(), Request: j.req, Result: pres.Result, Output: pres.Output,
-				}); perr != nil {
-					s.logf("job=%s store append failed: %v", j.id, perr)
-				}
-			}
+			j.setTables(tables)
 		}
 	default:
 		err = fmt.Errorf("unknown job kind %q", j.req.Kind)
@@ -625,6 +564,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	defer s.closeCoord()
 	select {
 	case <-done:
 		return nil
@@ -642,6 +582,14 @@ func (s *Server) Close() {
 	s.cancelAll("cancelled by server shutdown")
 	s.rootStop()
 	s.wg.Wait()
+	s.closeCoord()
+}
+
+// closeCoord closes a coordinator New built, once no job can use it.
+func (s *Server) closeCoord() {
+	if s.ownsCoord {
+		s.coord.Close()
+	}
 }
 
 // cancelAll cancels every non-terminal job's context.

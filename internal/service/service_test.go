@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"prisim"
+	"prisim/internal/fabric"
 	"prisim/prisimclient"
 )
 
@@ -35,6 +36,28 @@ func boot(t *testing.T, cfg Config) (*Server, *prisimclient.Client) {
 		ts.Close()
 	})
 	return srv, prisimclient.NewClient(ts.URL)
+}
+
+// coordinator builds a coordinator on cfg, filling in a memory-only store
+// and a fresh Engine when unset, and closes it with the test.
+func coordinator(t *testing.T, cfg fabric.Config) *fabric.Coordinator {
+	t.Helper()
+	if cfg.Store == nil {
+		st, err := fabric.OpenStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = st
+	}
+	if cfg.Engine == nil {
+		cfg.Engine = prisim.NewEngine()
+	}
+	c, err := fabric.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 // waitState polls until the job reaches want (or any terminal state) and

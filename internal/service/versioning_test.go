@@ -14,8 +14,8 @@ import (
 )
 
 // TestAPIv1AndLegacyAliases round-trips every job-API endpoint through the
-// client twice: once against /api/v1 (the default base path) and once
-// against the legacy unversioned aliases (WithBasePath("")).
+// client against /api/v1, and checks that the unversioned legacy aliases,
+// removed after their one-release deprecation window, are gone.
 func TestAPIv1AndLegacyAliases(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -24,96 +24,80 @@ func TestAPIv1AndLegacyAliases(t *testing.T) {
 		ts.Close()
 	})
 
-	clients := map[string]*prisimclient.Client{
-		"v1":     prisimclient.NewClient(ts.URL),
-		"legacy": prisimclient.NewClient(ts.URL, prisimclient.WithBasePath("")),
-	}
-	for name, c := range clients {
-		t.Run(name, func(t *testing.T) {
-			benches, err := c.Benchmarks(bg)
-			if err != nil || len(benches) == 0 {
-				t.Fatalf("Benchmarks = %v, %v", benches, err)
-			}
-			exps, err := c.Experiments(bg)
-			if err != nil || len(exps) == 0 {
-				t.Fatalf("Experiments = %v, %v", exps, err)
-			}
-			ver, err := c.Version(bg)
-			if err != nil || ver != prisim.Version {
-				t.Fatalf("Version = %q, %v; want %q", ver, err, prisim.Version)
-			}
+	t.Run("v1", func(t *testing.T) {
+		c := prisimclient.NewClient(ts.URL)
+		benches, err := c.Benchmarks(bg)
+		if err != nil || len(benches) == 0 {
+			t.Fatalf("Benchmarks = %v, %v", benches, err)
+		}
+		exps, err := c.Experiments(bg)
+		if err != nil || len(exps) == 0 {
+			t.Fatalf("Experiments = %v, %v", exps, err)
+		}
+		ver, err := c.Version(bg)
+		if err != nil || ver != prisim.Version {
+			t.Fatalf("Version = %q, %v; want %q", ver, err, prisim.Version)
+		}
 
-			j, err := c.Submit(bg, prisimclient.JobRequest{
-				Kind: prisimclient.KindSimulate, Benchmark: "gzip",
-				FastForward: tinyFF, Run: tinyRun,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			final, err := c.Wait(bg, j.ID, 0) // exercises the SSE events route
-			if err != nil {
-				t.Fatal(err)
-			}
-			if final.State != prisimclient.StateDone {
-				t.Fatalf("job state = %s (%s)", final.State, final.Error)
-			}
-			res, err := c.Result(bg, j.ID)
-			if err != nil || res.Result == nil {
-				t.Fatalf("Result = %+v, %v", res, err)
-			}
-			if res.KernelVersion != prisim.Version || res.CacheKey == "" {
-				t.Errorf("result metadata = (%q, %q), want kernel version and a cache key", res.KernelVersion, res.CacheKey)
-			}
-			jobs, err := c.Jobs(bg)
-			if err != nil || len(jobs) == 0 {
-				t.Fatalf("Jobs = %v, %v", jobs, err)
-			}
-
-			j2, err := c.Submit(bg, prisimclient.JobRequest{
-				Kind: prisimclient.KindSimulate, Benchmark: "mcf",
-				FastForward: tinyFF, Run: tinyRun,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Cancel(bg, j2.ID); err != nil {
-				t.Fatal(err)
-			}
+		j, err := c.Submit(bg, prisimclient.JobRequest{
+			Kind: prisimclient.KindSimulate, Benchmark: "gzip",
+			FastForward: tinyFF, Run: tinyRun,
 		})
-	}
-}
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Wait(bg, j.ID, 0) // exercises the SSE events route
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != prisimclient.StateDone {
+			t.Fatalf("job state = %s (%s)", final.State, final.Error)
+		}
+		res, err := c.Result(bg, j.ID)
+		if err != nil || res.Result == nil {
+			t.Fatalf("Result = %+v, %v", res, err)
+		}
+		if res.KernelVersion != prisim.Version || res.CacheKey == "" {
+			t.Errorf("result metadata = (%q, %q), want kernel version and a cache key", res.KernelVersion, res.CacheKey)
+		}
+		jobs, err := c.Jobs(bg)
+		if err != nil || len(jobs) == 0 {
+			t.Fatalf("Jobs = %v, %v", jobs, err)
+		}
 
-// TestLegacyPathsCarryDeprecationHeader pins the alias contract: legacy
-// unversioned paths answer with "Deprecation: true" and a successor link;
-// /api/v1 paths answer with neither.
-func TestLegacyPathsCarryDeprecationHeader(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		ts.Close()
+		j2, err := c.Submit(bg, prisimclient.JobRequest{
+			Kind: prisimclient.KindSimulate, Benchmark: "mcf",
+			FastForward: tinyFF, Run: tinyRun,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Cancel(bg, j2.ID); err != nil {
+			t.Fatal(err)
+		}
 	})
 
-	resp, err := http.Get(ts.URL + "/version")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy path missing Deprecation: true header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/version") {
-		t.Errorf("legacy path Link header = %q, want successor-version pointer", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/version")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/api/v1 path must not be marked deprecated")
-	}
+	t.Run("legacy", func(t *testing.T) {
+		for _, path := range []string{"/jobs", "/version", "/benchmarks"} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s = %d, want 404 (legacy aliases are removed)", path, resp.StatusCode)
+			}
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json",
+			strings.NewReader(`{"kind":"simulate","benchmark":"gzip"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /jobs = %d, want 404", resp.StatusCode)
+		}
+	})
 }
 
 // TestSubmitVerifiesClientCacheKey pins the cache-key handshake: a correct
@@ -150,7 +134,7 @@ func TestStoreBackedSimulateSkipsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := boot(t, Config{Workers: 1, NodeID: "node-under-test", Store: st})
+	_, c := boot(t, Config{Workers: 1, Coordinator: coordinator(t, fabric.Config{Store: st, NodeID: "node-under-test"})})
 
 	req := prisimclient.JobRequest{
 		Kind: prisimclient.KindSimulate, Benchmark: "gzip",

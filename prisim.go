@@ -20,15 +20,10 @@
 // requests for the same simulation point, honours context cancellation, and
 // reports failures with errors.Is-able sentinels (ErrUnknownBenchmark,
 // ErrUnknownPolicy, ErrUnknownExperiment, ErrInvalidOptions).
-//
-// The package-level Simulate and Experiment functions are the deprecated v1
-// API; they delegate to a shared default Engine.
 package prisim
 
 import (
-	"context"
 	"io"
-	"sync"
 
 	"prisim/internal/core"
 	"prisim/internal/workloads"
@@ -73,9 +68,10 @@ func (p Policy) IsPRI() bool {
 	return ok && cp.PRI
 }
 
-// The paper-methodology per-run measurement budget defaults: every zero
-// FastForward/Run field — in Options, in service requests, and in fabric
-// matrices — resolves to these values. They are part of the content-hash
+// The paper-methodology per-run measurement budget defaults. A zero
+// FastForward/Run field in Options or in a fabric matrix resolves to these
+// values; in a service request it resolves to the daemon's -ff/-run, and
+// to these only when those are zero too. They are part of the content-hash
 // schema (prisimclient.CacheKeyFor), so they are exported constants rather
 // than tunables.
 const (
@@ -171,31 +167,4 @@ func Benchmarks() []Benchmark {
 		})
 	}
 	return out
-}
-
-// defaultEngine backs the deprecated package-level API: one shared Engine,
-// built on first use, so legacy callers still benefit from memoization.
-var defaultEngine = sync.OnceValue(func() *Engine { return NewEngine() })
-
-// Simulate runs one benchmark at one machine point and returns the result.
-//
-// Deprecated: Simulate is the v1 entry point; it delegates to a shared
-// default Engine with a background context. Use NewEngine and
-// Engine.Simulate for context cancellation, parallelism control, and
-// progress reporting.
-func Simulate(o Options) (Result, error) {
-	//lint:ignore ctxcheck deprecated v1 compatibility shim: its documented contract is exactly "background context"
-	return defaultEngine().Simulate(context.Background(), o)
-}
-
-// Experiment regenerates one of the paper's tables or figures as rendered
-// text. Valid names are listed by ExperimentNames.
-//
-// Deprecated: Experiment is the v1 entry point; it delegates to a shared
-// default Engine with a background context. Use NewEngine and
-// Engine.Experiment, which add cancellation and run the experiment's whole
-// simulation matrix on a worker pool.
-func Experiment(name string, budget Options) (string, error) {
-	//lint:ignore ctxcheck deprecated v1 compatibility shim: its documented contract is exactly "background context"
-	return defaultEngine().Experiment(context.Background(), name, budget)
 }

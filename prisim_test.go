@@ -1,6 +1,7 @@
 package prisim
 
 import (
+	"context"
 	"prisim/internal/harness"
 	"strings"
 	"testing"
@@ -8,10 +9,13 @@ import (
 
 var tiny = Options{FastForward: 500, Run: 3000}
 
+// testEngine is shared by the facade tests, so repeated points hit its cache.
+var testEngine = NewEngine()
+
 func simulate(t *testing.T, o Options) Result {
 	t.Helper()
 	o.FastForward, o.Run = tiny.FastForward, tiny.Run
-	res, err := Simulate(o)
+	res, err := testEngine.Simulate(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +42,13 @@ func TestSimulateAllPolicies(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	if _, err := Simulate(Options{Benchmark: "nope"}); err == nil {
+	if _, err := testEngine.Simulate(context.Background(), Options{Benchmark: "nope"}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Simulate(Options{Benchmark: "gzip", Policy: "bogus"}); err == nil {
+	if _, err := testEngine.Simulate(context.Background(), Options{Benchmark: "gzip", Policy: "bogus"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := Simulate(Options{Benchmark: "gzip", Width: 6}); err == nil {
+	if _, err := testEngine.Simulate(context.Background(), Options{Benchmark: "gzip", Width: 6}); err == nil {
 		t.Error("width 6 accepted")
 	}
 }
@@ -77,11 +81,11 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestExperimentAPI(t *testing.T) {
-	out, err := Experiment("table1", tiny)
+	out, err := testEngine.Experiment(context.Background(), "table1", tiny)
 	if err != nil || !strings.Contains(out, "ROB") {
 		t.Errorf("table1: %v\n%s", err, out)
 	}
-	if _, err := Experiment("nope", tiny); err == nil {
+	if _, err := testEngine.Experiment(context.Background(), "nope", tiny); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -90,7 +94,7 @@ func TestExperimentFig2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	out, err := Experiment("fig2", tiny)
+	out, err := testEngine.Experiment(context.Background(), "fig2", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,7 @@ func TestExperimentFig2(t *testing.T) {
 }
 
 func TestSimulateRejectsTinyRegisterFile(t *testing.T) {
-	if _, err := Simulate(Options{Benchmark: "gzip", PhysRegs: 16}); err == nil {
+	if _, err := testEngine.Simulate(context.Background(), Options{Benchmark: "gzip", PhysRegs: 16}); err == nil {
 		t.Error("16 physical registers accepted")
 	}
 }

@@ -4,11 +4,10 @@
 // polls or streams their progress, and fetches results.
 //
 // The wire surface is versioned: every endpoint lives under /api/v1 (the
-// client's default base path). The unversioned paths prisimd also serves
-// are deprecated aliases kept for one release; select them with
-// WithBasePath(""). Wire type v1 additions over the original v0 shapes are
-// strictly additive — CacheKey on requests, KernelVersion / CacheKey /
-// ComputedBy on responses — so recorded v0 payloads keep decoding.
+// client's default base path). Wire type v1 additions over the original v0
+// shapes are strictly additive — CacheKey on requests, KernelVersion /
+// CacheKey / ComputedBy on responses — so recorded v0 payloads keep
+// decoding.
 package prisimclient
 
 import (

@@ -95,8 +95,7 @@ func WithHTTPClient(hc *http.Client) Option {
 }
 
 // WithBasePath overrides the API base path mounted under the server URL.
-// The default is DefaultBasePath ("/api/v1"); the empty string selects the
-// deprecated unversioned alias paths kept for one release.
+// The default is DefaultBasePath ("/api/v1").
 func WithBasePath(p string) Option {
 	return func(c *Client) { c.basePath = strings.TrimRight(p, "/") }
 }
@@ -126,16 +125,6 @@ func NewClient(baseURL string, opts ...Option) *Client {
 		o(c)
 	}
 	return c
-}
-
-// New returns a Client for the server at baseURL. hc nil selects
-// http.DefaultClient.
-//
-// Deprecated: New is the v0 constructor. Use NewClient, which takes
-// functional options (WithHTTPClient, WithBasePath, WithAuthHeader,
-// WithUserAgent).
-func New(baseURL string, hc *http.Client) *Client {
-	return NewClient(baseURL, WithHTTPClient(hc))
 }
 
 // url joins the server URL, the API base path, and an endpoint path.
