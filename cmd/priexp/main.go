@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -55,19 +54,15 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := []prisim.EngineOption{
-		prisim.WithBudget(*ff, *run),
-		prisim.WithParallelism(*workers),
-	}
+	eng := prisim.NewEngine(prisim.WithBudget(*ff, *run), prisim.WithParallelism(*workers))
 	if *verbose {
-		opts = append(opts, prisim.WithProgress(func(done, total int) {
+		eng = eng.ProgressView(func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d runs complete", done, total)
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}
-		}))
+		})
 	}
-	eng := prisim.NewEngine(opts...)
 
 	if *timing != "" {
 		if err := writeTiming(ctx, *timing, *ff, *run); err != nil {
@@ -128,8 +123,8 @@ func fatal(err error) {
 // regeneration from cold caches, whether their tables matched byte for
 // byte, the raw kernel throughput of a single simulation (committed
 // instructions per wall-clock second, the number BENCH_kernel.json tracks),
-// and the snapshot-layer sweep comparison (the numbers BENCH_harness.json
-// tracks and `make sweepgate` gates on).
+// and one cold snapshot sweep (the numbers BENCH_harness.json tracks and
+// `make sweepgate` gates on).
 type timingRecord struct {
 	Experiment        string  `json:"experiment"`
 	NumCPU            int     `json:"num_cpu"`
@@ -147,30 +142,26 @@ type timingRecord struct {
 	Acceptance acceptanceRecord `json:"acceptance"`
 }
 
-// sweepRecord compares one cold fig8-mix sweep — every integer workload at
-// 8 policy points, default fast-forward — with the snapshot layer off
-// (every point replays its workload's fast-forward) and on (one functional
-// fast-forward per workload, every sibling point clones the warm state).
+// sweepRecord times one cold fig8-mix sweep — every integer workload at 8
+// policy points, default fast-forward — where one functional fast-forward
+// per workload serves every sibling point as a copy-on-write clone.
 type sweepRecord struct {
 	Workloads         int     `json:"workloads"`
 	Points            int     `json:"points"`
 	PointsPerWorkload int     `json:"points_per_workload"`
 	FastForward       uint64  `json:"fast_forward_per_point"`
 	Run               uint64  `json:"run_per_point"`
-	ReplaySeconds     float64 `json:"replay_seconds"`
 	SnapshotSeconds   float64 `json:"snapshot_seconds"`
-	Speedup           float64 `json:"speedup"`
 	SnapshotBuilds    int     `json:"snapshot_builds"`
 	SnapshotHits      int     `json:"snapshot_hits"`
 	SnapshotBytes     uint64  `json:"snapshot_resident_bytes"`
-	ByteIdentical     bool    `json:"byte_identical"`
 }
 
 // acceptanceRecord holds the CI floors derived from this record (see
 // cmd/benchgate -floorkey).
 type acceptanceRecord struct {
-	// SweepPointsPerSecFloor is the snapshot-enabled sweep's measured
-	// throughput; BenchmarkSweepFig8Mix must sustain a fraction of it.
+	// SweepPointsPerSecFloor is the sweep's measured throughput;
+	// BenchmarkSweepFig8Mix must sustain a fraction of it.
 	SweepPointsPerSecFloor float64 `json:"sweep_points_per_sec_floor"`
 }
 
@@ -202,7 +193,7 @@ func writeTiming(ctx context.Context, path string, ff, run uint64) error {
 	if err != nil {
 		return err
 	}
-	sweep, err := sweepComparison(ctx)
+	sweep, err := sweepTiming(ctx)
 	if err != nil {
 		return err
 	}
@@ -242,21 +233,19 @@ func writeTiming(ctx context.Context, path string, ff, run uint64) error {
 	}
 	fmt.Fprintf(os.Stderr, "timing written to %s (serial %.2fs, parallel %.2fs on %d workers, identical=%v, kernel %.0f instr/s)\n",
 		path, serialSec, parSec, workers, rec.ByteIdentical, kernelIPS)
-	fmt.Fprintf(os.Stderr, "sweep: %d points / %d workloads, replay %.2fs vs snapshot %.2fs (%.2fx), %d builds + %d hits, identical=%v\n",
-		sweep.Points, sweep.Workloads, sweep.ReplaySeconds, sweep.SnapshotSeconds,
-		sweep.Speedup, sweep.SnapshotBuilds, sweep.SnapshotHits, sweep.ByteIdentical)
+	fmt.Fprintf(os.Stderr, "sweep: %d points / %d workloads in %.2fs, %d builds + %d hits\n",
+		sweep.Points, sweep.Workloads, sweep.SnapshotSeconds, sweep.SnapshotBuilds, sweep.SnapshotHits)
 	return nil
 }
 
-// sweepRunPerPoint is the measured budget per sweep-comparison point. Keep
-// in sync with internal/harness's BenchmarkSweepFig8Mix, which is gated
-// against the floor this run records.
+// sweepRunPerPoint is the measured budget per sweep point. Keep in sync
+// with internal/harness's BenchmarkSweepFig8Mix, which is gated against the
+// floor this run records.
 const sweepRunPerPoint = 8000
 
-// sweepOptions is the fig8-shaped comparison matrix: every integer
-// workload at 8 policy points (4 rename policies × both widths), run at
-// the real default fast-forward so the record measures exactly the work
-// the snapshot layer removes.
+// sweepOptions is the fig8-shaped sweep matrix: every integer workload at
+// 8 policy points (4 rename policies × both widths), run at the real
+// default fast-forward.
 func sweepOptions() []prisim.Options {
 	pols := []prisim.Policy{prisim.PolicyBase, prisim.PolicyER, prisim.PolicyPRI, prisim.PolicyPRIPlusER}
 	var opts []prisim.Options
@@ -273,15 +262,11 @@ func sweepOptions() []prisim.Options {
 	return opts
 }
 
-// sweepOnce runs the comparison matrix on a fresh Engine and returns the
-// wall-clock, the engine's cache counters, and a fingerprint of every
-// result in matrix order (so on/off runs can be compared byte for byte).
-func sweepOnce(ctx context.Context, snapshots bool) (float64, prisim.CacheStats, string, error) {
-	eng := prisim.NewEngine(
-		prisim.WithBudget(prisim.DefaultFastForward, sweepRunPerPoint),
-		prisim.WithSnapshots(snapshots))
+// sweepTiming runs the sweep matrix cold on a fresh Engine and records its
+// wall-clock and snapshot cache counters.
+func sweepTiming(ctx context.Context) (sweepRecord, error) {
+	eng := prisim.NewEngine(prisim.WithBudget(prisim.DefaultFastForward, sweepRunPerPoint))
 	opts := sweepOptions()
-	results := make([]prisim.Result, len(opts))
 	errs := make([]error, len(opts))
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -289,49 +274,28 @@ func sweepOnce(ctx context.Context, snapshots bool) (float64, prisim.CacheStats,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Simulate(ctx, opts[i])
+			_, errs[i] = eng.Simulate(ctx, opts[i])
 		}(i)
 	}
 	wg.Wait()
 	sec := time.Since(start).Seconds()
 	for _, err := range errs {
 		if err != nil {
-			return 0, prisim.CacheStats{}, "", err
+			return sweepRecord{}, err
 		}
 	}
-	h := sha256.New()
-	for i := range results {
-		fmt.Fprintf(h, "%+v\n", results[i])
-	}
-	return sec, eng.CacheStats(), fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// sweepComparison measures the fig8-mix sweep cold with the snapshot layer
-// off, then cold again with it on, and checks the results matched exactly.
-func sweepComparison(ctx context.Context) (sweepRecord, error) {
-	replaySec, _, replayFP, err := sweepOnce(ctx, false)
-	if err != nil {
-		return sweepRecord{}, err
-	}
-	snapSec, cs, snapFP, err := sweepOnce(ctx, true)
-	if err != nil {
-		return sweepRecord{}, err
-	}
-	points := len(sweepOptions())
+	cs := eng.CacheStats()
 	workloads := cs.SnapshotBuilds // one snapshot build per workload
 	return sweepRecord{
 		Workloads:         workloads,
-		Points:            points,
-		PointsPerWorkload: points / workloads,
+		Points:            len(opts),
+		PointsPerWorkload: len(opts) / workloads,
 		FastForward:       prisim.DefaultFastForward,
 		Run:               sweepRunPerPoint,
-		ReplaySeconds:     replaySec,
-		SnapshotSeconds:   snapSec,
-		Speedup:           replaySec / snapSec,
+		SnapshotSeconds:   sec,
 		SnapshotBuilds:    cs.SnapshotBuilds,
 		SnapshotHits:      cs.SnapshotHits,
 		SnapshotBytes:     cs.SnapshotBytes,
-		ByteIdentical:     replayFP == snapFP,
 	}, nil
 }
 

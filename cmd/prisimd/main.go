@@ -123,8 +123,6 @@ func main() {
 			MaxMemoryBytes: *progMem,
 		},
 	}
-	cfg.Budget.FastForward = *ff
-	cfg.Budget.Run = *run
 	if !*quiet {
 		cfg.Logger = logger
 	}

@@ -33,15 +33,12 @@ var (
 // execution while wall-clock scales with cores. An Engine is safe for use
 // from multiple goroutines and is meant to be created once and reused.
 type Engine struct {
-	budget harness.Budget
 	runner *harness.Runner
 }
 
 type engineSettings struct {
-	budget       harness.Budget
-	workers      int
-	onProgress   func(done, total int)
-	snapshotsOff bool
+	budget  harness.Budget
+	workers int
 }
 
 // EngineOption configures NewEngine.
@@ -63,37 +60,20 @@ func WithParallelism(n int) EngineOption {
 	return func(s *engineSettings) { s.workers = n }
 }
 
-// WithProgress registers fn to be called after every completed simulation
-// with the number of runs finished and submitted so far, letting CLIs
-// stream completion counts. Calls are serialized; fn must be fast and must
-// not call back into the Engine.
-func WithProgress(fn func(done, total int)) EngineOption {
-	return func(s *engineSettings) { s.onProgress = fn }
-}
-
-// WithSnapshots enables or disables the fast-forward snapshot cache
-// (enabled by default): each workload's functional fast-forward executes
-// once and every later run for that workload starts from a copy-on-write
-// clone of the warm state. Results are byte-identical either way; disable
-// it only to measure the replay cost it removes.
-func WithSnapshots(enabled bool) EngineOption {
-	return func(s *engineSettings) { s.snapshotsOff = !enabled }
-}
-
 // NewEngine returns an Engine with the given options applied.
 func NewEngine(opts ...EngineOption) *Engine {
 	var s engineSettings
 	for _, o := range opts {
 		o(&s)
 	}
-	r := harness.NewParallelRunner(s.budget, s.workers)
-	if s.onProgress != nil {
-		r.OnProgress(s.onProgress)
-	}
-	if s.snapshotsOff {
-		r.SetSnapshots(false)
-	}
-	return &Engine{budget: r.Budget, runner: r}
+	return &Engine{runner: harness.NewParallelRunner(s.budget, s.workers)}
+}
+
+// Budget reports the Engine's default per-run budget with zero WithBudget
+// fields resolved to the defaults: the budget a Simulate call with zero
+// Options.FastForward/Run runs at.
+func (e *Engine) Budget() (fastForward, run uint64) {
+	return e.runner.Budget.FastForward, e.runner.Budget.Run
 }
 
 // runnerFor returns the Engine's runner viewed at o's per-call budget
@@ -448,11 +428,14 @@ func (e *Engine) RunsExecuted() int { return e.runner.RunsExecuted() }
 type CacheStats struct {
 	Executed  int // simulations actually performed
 	Hits      int // requests answered instantly from a completed cache entry
-	Coalesced int // requests that waited on another caller's in-flight run
+	Coalesced int // requests served by waiting on another caller's in-flight run
 
-	// Fast-forward snapshot cache counters (see WithSnapshots).
+	// Fast-forward snapshot cache counters: each workload's functional
+	// fast-forward executes once per budget and machine memory/predictor
+	// configuration, and every later run for it starts from a copy-on-write
+	// clone of the warm state.
 	SnapshotBuilds int    // functional fast-forwards executed to fill the snapshot cache
-	SnapshotHits   int    // runs constructed from a cached warm state instead of replaying
+	SnapshotHits   int    // runs that took a completed or in-flight build's warm state
 	SnapshotBytes  uint64 // resident bytes of cached warm states
 }
 
@@ -480,5 +463,5 @@ func (e *Engine) CacheStats() CacheStats {
 // call back into the Engine. This is how a server streams per-request
 // progress while every request shares one Engine.
 func (e *Engine) ProgressView(fn func(done, total int)) *Engine {
-	return &Engine{budget: e.budget, runner: e.runner.ProgressView(fn)}
+	return &Engine{runner: e.runner.ProgressView(fn)}
 }

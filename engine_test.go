@@ -152,15 +152,10 @@ func TestExperimentCancellation(t *testing.T) {
 // calls over a small point set and asserts singleflight deduplication:
 // every distinct point simulated exactly once. Meaningful under -race.
 func TestEngineStress(t *testing.T) {
-	var mu sync.Mutex
-	maxTotal := 0
-	eng := NewEngine(WithBudget(200, 1000), WithProgress(func(done, total int) {
-		mu.Lock()
-		if total > maxTotal {
-			maxTotal = total
-		}
-		mu.Unlock()
-	}))
+	var last [2]int // progress calls are serialized under the view's lock
+	eng := NewEngine(WithBudget(200, 1000)).ProgressView(func(done, total int) {
+		last = [2]int{done, total}
+	})
 	points := []Options{
 		{Benchmark: "gzip"},
 		{Benchmark: "gzip", Policy: PolicyPRI},
@@ -191,8 +186,12 @@ func TestEngineStress(t *testing.T) {
 		t.Errorf("RunsExecuted = %d for %d unique points under %d goroutines, want %d",
 			got, len(points), goroutines, len(points))
 	}
-	if maxTotal != len(points) {
-		t.Errorf("progress reported %d submissions, want %d", maxTotal, len(points))
+	// Every request that ran or joined a flight reported resolving, and each
+	// point was requested that way at least once; requests after a point's
+	// completion are instant hits and report nothing.
+	if done, total := last[0], last[1]; done != total || total < len(points) || total > goroutines*len(points) {
+		t.Errorf("final progress = %d/%d, want done == total in [%d, %d]",
+			done, total, len(points), goroutines*len(points))
 	}
 	// All goroutines observed identical values for identical points.
 	for g := 1; g < goroutines; g++ {
@@ -201,6 +200,17 @@ func TestEngineStress(t *testing.T) {
 				t.Fatalf("goroutine %d result %d diverged", g, i)
 			}
 		}
+	}
+}
+
+// TestEngineBudget checks that Budget reports the default a zero-budget
+// Simulate runs at, with unset WithBudget fields resolved.
+func TestEngineBudget(t *testing.T) {
+	if ff, run := NewEngine().Budget(); ff != DefaultFastForward || run != DefaultRun {
+		t.Errorf("default Budget() = %d, %d, want %d, %d", ff, run, DefaultFastForward, DefaultRun)
+	}
+	if ff, run := NewEngine(WithBudget(0, 4000)).Budget(); ff != DefaultFastForward || run != 4000 {
+		t.Errorf("WithBudget(0, 4000).Budget() = %d, %d, want %d, 4000", ff, run, DefaultFastForward)
 	}
 }
 

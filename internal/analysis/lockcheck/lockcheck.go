@@ -359,7 +359,11 @@ func (c *checker) checkExpr(x ast.Expr, h held) {
 			if !ok {
 				return true
 			}
-			mu, ok := c.guarded[sel.Obj()]
+			obj := sel.Obj()
+			if v, ok := obj.(*types.Var); ok {
+				obj = v.Origin() // a field of an instantiated generic struct
+			}
+			mu, ok := c.guarded[obj]
 			if !ok {
 				return true
 			}

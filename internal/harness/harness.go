@@ -97,35 +97,13 @@ type runKey struct {
 	budget   Budget
 }
 
-// entry is one singleflight cache slot: the first requester simulates, every
-// concurrent requester for the same key blocks on done and shares the result.
-type entry struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-// shared is the Runner state common to every budget view: the cache, the
-// worker pool, and the progress counters. Budget-scoped views created with
-// WithBudget alias it, so deduplication spans all of them.
+// shared is the Runner state common to every budget and progress view: the
+// worker pool and both singleflight caches. Views created with WithBudget
+// or ProgressView alias it, so deduplication spans all of them.
 type shared struct {
-	sem chan struct{} // bounded worker pool
-
-	mu         sync.Mutex
-	cache      map[runKey]*entry     // guarded by mu
-	onProgress func(done, total int) // guarded by mu
-	submitted  int                   // guarded by mu
-	completed  int                   // guarded by mu
-	hits       int                   // guarded by mu; requests served by an already-completed cache entry
-	coalesced  int                   // guarded by mu; requests that joined another caller's in-flight run
-
-	// Fast-forward snapshot cache (see snapshot.go).
-	snaps      map[snapKey]*snapEntry // guarded by mu
-	snapsOff   bool                   // guarded by mu
-	snapClock  uint64                 // guarded by mu; LRU clock
-	snapBuilds int                    // guarded by mu; fast-forwards executed to fill the cache
-	snapHits   int                    // guarded by mu; runs constructed from a cached snapshot
-	snapBytes  uint64                 // guarded by mu; resident bytes of cached warm states
+	sem   chan struct{}                  // bounded worker pool
+	runs  *memo[runKey, *Result]         // timing results, unbounded
+	snaps *memo[snapKey, *ooo.WarmState] // fast-forward snapshots (see snapshot.go)
 }
 
 // CacheStats is a snapshot of the Runner's memoization counters, spanning
@@ -133,11 +111,11 @@ type shared struct {
 type CacheStats struct {
 	Executed  int // simulations actually performed
 	Hits      int // requests answered from a completed cache entry
-	Coalesced int // requests that waited on another caller's in-flight run
+	Coalesced int // requests served by waiting on another caller's in-flight run
 
 	// Fast-forward snapshot cache counters (see snapshot.go).
 	SnapshotBuilds int    // fast-forwards executed to fill the snapshot cache
-	SnapshotHits   int    // runs constructed from a cached warm state instead of replaying
+	SnapshotHits   int    // runs that took a completed or in-flight build's warm state
 	SnapshotBytes  uint64 // resident bytes of cached warm states
 }
 
@@ -178,15 +156,15 @@ func NewParallelRunner(b Budget, workers int) *Runner {
 		Budget: b.orDefault(),
 		s: &shared{
 			sem:   make(chan struct{}, workers),
-			cache: make(map[runKey]*entry),
-			snaps: make(map[snapKey]*snapEntry),
+			runs:  newMemo[runKey, *Result](0, nil),
+			snaps: newMemo[snapKey](maxSnapshots, (*ooo.WarmState).Bytes),
 		},
 	}
 }
 
 // WithBudget returns a view of the Runner that simulates at budget b (zero
 // fields fall back to the receiver's budget) while sharing the receiver's
-// cache, worker pool, and progress hooks. The budget is part of the cache
+// caches, worker pool, and progress view. The budget is part of the cache
 // key, so views never alias each other's results.
 func (r *Runner) WithBudget(b Budget) *Runner {
 	if b.FastForward == 0 {
@@ -199,12 +177,12 @@ func (r *Runner) WithBudget(b Budget) *Runner {
 }
 
 // ProgressView returns a view of the Runner that reports per-view progress
-// to fn while sharing the receiver's cache, worker pool, and global progress
-// hooks. fn is called after each of the view's requests resolves, with the
-// number resolved and the number submitted by this view so far; requests
-// answered instantly from a completed cache entry do not fire it. Calls are
-// serialized; fn must be fast and must not call back into the Runner. The
-// view survives WithBudget, so one view can track a whole experiment.
+// to fn while sharing the receiver's caches and worker pool. fn is called
+// after each of the view's requests resolves, with the number resolved and
+// the number submitted by this view so far; requests answered instantly
+// from a completed cache entry do not fire it. Calls are serialized; fn
+// must be fast and must not call back into the Runner. The view survives
+// WithBudget, so one view can track a whole experiment.
 func (r *Runner) ProgressView(fn func(done, total int)) *Runner {
 	return &Runner{Budget: r.Budget, s: r.s, view: &viewState{hook: fn}}
 }
@@ -212,15 +190,14 @@ func (r *Runner) ProgressView(fn func(done, total int)) *Runner {
 // CacheStats reports the memoization counters accumulated across every view
 // of this Runner's shared cache.
 func (r *Runner) CacheStats() CacheStats {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
+	runs, snaps := r.s.runs.stats(), r.s.snaps.stats()
 	return CacheStats{
-		Executed:       r.s.completed,
-		Hits:           r.s.hits,
-		Coalesced:      r.s.coalesced,
-		SnapshotBuilds: r.s.snapBuilds,
-		SnapshotHits:   r.s.snapHits,
-		SnapshotBytes:  r.s.snapBytes,
+		Executed:       runs.runs,
+		Hits:           runs.hits,
+		Coalesced:      runs.joins,
+		SnapshotBuilds: snaps.runs,
+		SnapshotHits:   snaps.hits + snaps.joins,
+		SnapshotBytes:  snaps.bytes,
 	}
 }
 
@@ -251,23 +228,10 @@ func (r *Runner) viewDone(counted bool) {
 	r.view.mu.Unlock()
 }
 
-// OnProgress registers fn to be called after every completed run with the
-// number of runs finished and the number submitted so far. Calls are
-// serialized; fn must not call back into the Runner.
-func (r *Runner) OnProgress(fn func(done, total int)) {
-	r.s.mu.Lock()
-	r.s.onProgress = fn
-	r.s.mu.Unlock()
-}
-
 // RunsExecuted reports how many simulations this Runner (including all
 // budget views) has actually executed — cache hits and deduplicated
 // concurrent requests do not count.
-func (r *Runner) RunsExecuted() int {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return r.s.completed
-}
+func (r *Runner) RunsExecuted() int { return r.s.runs.stats().runs }
 
 func (r *Runner) key(w workloads.Workload, cfg ooo.Config) runKey {
 	return runKey{
@@ -303,82 +267,24 @@ func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
 // between instruction chunks when ctx is cancelled; a cancelled flight is
 // evicted so later calls retry it.
 func (r *Runner) RunCtx(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
-	key := r.key(w, cfg)
 	counted := false // view accounting: at most one submit per call
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.s.mu.Lock()
-		if e, ok := r.s.cache[key]; ok {
-			// Distinguish a completed entry (an instant cache hit) from a
-			// flight we are about to join.
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.s.hits++
-					r.s.mu.Unlock()
-					return e.res, nil
-				}
-				// The owning flight was cancelled (and evicted); retry
-				// under our own context.
-				r.s.mu.Unlock()
-				continue
-			default:
-			}
-			r.s.coalesced++
-			r.s.mu.Unlock()
-			r.viewSubmit(&counted)
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.viewDone(counted)
-					return e.res, nil
-				}
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &entry{done: make(chan struct{})}
-		r.s.cache[key] = e
-		r.s.submitted++
-		r.s.mu.Unlock()
-		r.viewSubmit(&counted)
-
-		e.res, e.err = r.simulate(ctx, w, cfg)
-
-		r.s.mu.Lock()
-		var hook func(done, total int)
-		var done, total int
-		if e.err != nil {
-			delete(r.s.cache, key)
-			r.s.submitted--
-		} else {
-			r.s.completed++
-			hook, done, total = r.s.onProgress, r.s.completed, r.s.submitted
-		}
-		r.s.mu.Unlock()
-		close(e.done)
-		if hook != nil {
-			hook(done, total)
-		}
-		if e.err == nil {
-			r.viewDone(counted)
-		}
-		return e.res, e.err
+	res, err := r.s.runs.do(ctx, r.key(w, cfg),
+		func() (*Result, error) { return r.simulate(ctx, w, cfg) },
+		func() { r.viewSubmit(&counted) })
+	if err == nil {
+		r.viewDone(counted)
 	}
+	return res, err
 }
 
 // ctxChunk is how many instructions execute between context checks.
 const ctxChunk = 16 * 1024
 
-// simulate performs one timing run inside a worker-pool slot. The workload's
-// fast-forward state comes from the snapshot cache when available — one
-// functional fast-forward per workload serves the whole sweep — and is
-// replayed inline otherwise; results are byte-identical either way.
-// warmFor runs before the slot is acquired: a caller waiting on another
-// flight's snapshot build must not occupy a worker.
+// simulate performs one timing run inside a worker-pool slot, starting from
+// a clone of the workload's warm fast-forward snapshot: one functional
+// fast-forward per workload serves the whole sweep. warmFor runs before the
+// slot is acquired: a caller waiting on another flight's snapshot build
+// must not occupy a worker.
 func (r *Runner) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
 	warm, err := r.warmFor(ctx, w, cfg)
 	if err != nil {
@@ -396,10 +302,7 @@ func (r *Runner) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Con
 	if warm != nil {
 		p = ooo.NewFromWarm(cfg, warm)
 	} else {
-		p = ooo.New(cfg, w.Build(0))
-		if err := runChunked(ctx, p.FastForward, r.Budget.FastForward); err != nil {
-			return nil, err
-		}
+		p = ooo.New(cfg, w.Build(0)) // FastForward 0: nothing to clone
 	}
 	if err := runChunked(ctx, p.Run, r.Budget.Run); err != nil {
 		return nil, err

@@ -152,9 +152,9 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 	// a waiter with a context that stays live.
 	key := r.key(w, cfg)
 	for {
-		r.s.mu.Lock()
-		_, inFlight := r.s.cache[key]
-		r.s.mu.Unlock()
+		r.s.runs.mu.Lock()
+		_, inFlight := r.s.runs.slots[key]
+		r.s.runs.mu.Unlock()
 		if inFlight {
 			break
 		}
@@ -252,24 +252,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if serial.String() != parallel.String() {
 		t.Errorf("parallel fig8 differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 			serial.String(), parallel.String())
-	}
-}
-
-func TestProgressCallback(t *testing.T) {
-	r := NewRunner(tinyBudget)
-	var mu sync.Mutex
-	var dones []int
-	r.OnProgress(func(done, total int) {
-		mu.Lock()
-		dones = append(dones, done)
-		mu.Unlock()
-	})
-	w, _ := workloads.ByName("gzip")
-	r.Run(w, ooo.Width4())
-	r.Run(w, ooo.Width4()) // cache hit: no callback
-	r.Run(w, ooo.Width8())
-	if len(dones) != 2 {
-		t.Fatalf("progress callback fired %d times, want 2", len(dones))
 	}
 }
 

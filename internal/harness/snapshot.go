@@ -38,110 +38,21 @@ type snapKey struct {
 	bp    bpred.Config
 }
 
-// snapEntry is one singleflight slot of the snapshot cache: the first
-// requester builds, everyone else blocks on done and shares the state.
-type snapEntry struct {
-	done    chan struct{}
-	w       *ooo.WarmState
-	err     error
-	lastUse uint64 // LRU stamp, valid once done; the runner's shared mu serializes access
-}
-
 // snapshotKey derives the cache key for one run: the workload plus every
 // configuration axis that influences fast-forward state.
 func (r *Runner) snapshotKey(w workloads.Workload, cfg ooo.Config) snapKey {
 	return snapKey{bench: w.Name, ff: r.Budget.FastForward, mem: cfg.Mem, bp: cfg.Bpred}
 }
 
-// SetSnapshots enables or disables the fast-forward snapshot cache (enabled
-// by default). Disabling drops resident snapshots and makes subsequent runs
-// replay their fast-forward; results are byte-identical either way.
-func (r *Runner) SetSnapshots(enabled bool) {
-	r.s.mu.Lock()
-	r.s.snapsOff = !enabled
-	if !enabled {
-		r.s.snaps = make(map[snapKey]*snapEntry)
-		r.s.snapBytes = 0
-	}
-	r.s.mu.Unlock()
-}
-
 // warmFor returns the warm fast-forward state for (w, cfg), building it on
-// first request and sharing it afterwards. It returns (nil, nil) when
-// snapshots are disabled or there is nothing to fast-forward; the caller
-// then replays the fast-forward itself.
+// first request and sharing it afterwards. It returns (nil, nil) when there
+// is nothing to fast-forward.
 func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
 	if r.Budget.FastForward == 0 {
 		return nil, nil
 	}
-	key := r.snapshotKey(w, cfg)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.s.mu.Lock()
-		if r.s.snapsOff {
-			r.s.mu.Unlock()
-			return nil, nil
-		}
-		if e, ok := r.s.snaps[key]; ok {
-			select {
-			case <-e.done:
-				if e.err == nil {
-					r.s.snapHits++
-					r.s.snapClock++
-					e.lastUse = r.s.snapClock
-					r.s.mu.Unlock()
-					return e.w, nil
-				}
-				// The building flight failed (cancelled) and evicted itself;
-				// retry under our own context.
-				r.s.mu.Unlock()
-				continue
-			default:
-			}
-			r.s.mu.Unlock()
-			select {
-			case <-e.done:
-				if e.err != nil {
-					continue
-				}
-				r.s.mu.Lock()
-				r.s.snapHits++
-				r.s.snapClock++
-				e.lastUse = r.s.snapClock
-				r.s.mu.Unlock()
-				return e.w, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &snapEntry{done: make(chan struct{})}
-		r.s.snaps[key] = e
-		r.s.mu.Unlock()
-
-		e.w, e.err = r.buildSnapshot(ctx, w, cfg)
-
-		r.s.mu.Lock()
-		if e.err != nil {
-			if r.s.snaps[key] == e {
-				delete(r.s.snaps, key)
-			}
-		} else {
-			r.s.snapBuilds++
-			// SetSnapshots(false) may have dropped the map entry mid-build;
-			// only account entries still resident.
-			if r.s.snaps[key] == e {
-				r.s.snapClock++
-				e.lastUse = r.s.snapClock
-				r.s.snapBytes += e.w.Bytes()
-				r.evictSnapshotsLocked()
-			}
-		}
-		r.s.mu.Unlock()
-		close(e.done)
-		return e.w, e.err
-	}
+	return r.s.snaps.do(ctx, r.snapshotKey(w, cfg),
+		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg) }, nil)
 }
 
 // buildSnapshot fast-forwards one workload inside a worker-pool slot and
@@ -160,34 +71,4 @@ func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg oo
 		return nil, err
 	}
 	return p.CaptureWarm(), nil
-}
-
-// evictSnapshotsLocked drops least-recently-used completed snapshots until
-// the cache is within maxSnapshots. In-flight builds are never evicted.
-//
-//prisim:locked
-func (r *Runner) evictSnapshotsLocked() {
-	for len(r.s.snaps) > maxSnapshots {
-		var victimKey snapKey
-		var victim *snapEntry
-		//lint:ignore determinism LRU selection by minimal lastUse stamp is order-independent: stamps are unique, so the minimum is unique
-		for k, e := range r.s.snaps {
-			select {
-			case <-e.done:
-			default:
-				continue // still building
-			}
-			if e.err != nil {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victimKey, victim = k, e
-			}
-		}
-		if victim == nil {
-			return // everything is in flight; nothing evictable
-		}
-		r.s.snapBytes -= victim.w.Bytes()
-		delete(r.s.snaps, victimKey)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prisim/internal/core"
+	"prisim/internal/ooo"
 	"prisim/internal/workloads"
 )
 
@@ -13,39 +14,41 @@ import (
 func resultFingerprint(r *Result) string { return fmt.Sprintf("%+v", *r) }
 
 // TestSnapshotsByteIdentical runs every policy family over two workloads
-// with the snapshot cache on and off and demands identical Results — the
-// clone-equals-replay contract at the harness level.
+// through the Runner, whose points clone one warm snapshot per workload,
+// and demands Results identical to a replay built here from the ooo
+// primitives (fresh pipeline, fast-forward, run) — the clone-equals-replay
+// contract at the harness level.
 func TestSnapshotsByteIdentical(t *testing.T) {
 	pols := []core.Policy{
 		core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt,
 		core.PolicyPRIRcLazy, core.PolicyPRIPlusER,
 	}
-	ws := []string{"gzip", "mcf"}
+	b := Budget{FastForward: 2000, Run: 8000}
+	r := NewParallelRunner(b, 4)
+	for _, name := range []string{"gzip", "mcf"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		for _, pol := range pols {
+			for _, width := range []int{4, 8} {
+				cfg := machine(width).WithPolicy(pol)
+				p := ooo.New(cfg, w.Build(0))
+				p.FastForward(b.FastForward)
+				p.Run(b.Run)
+				replay := buildResult(p, w.Class == workloads.FP)
+				replay.Bench, replay.Config, replay.Policy = w.Name, cfg.Name, pol.Name()
 
-	run := func(snapshots bool) map[string]string {
-		r := NewParallelRunner(Budget{FastForward: 2000, Run: 8000}, 4)
-		r.SetSnapshots(snapshots)
-		out := make(map[string]string)
-		for _, name := range ws {
-			w, ok := workloads.ByName(name)
-			if !ok {
-				t.Fatalf("workload %s missing", name)
-			}
-			for _, pol := range pols {
-				for _, width := range []int{4, 8} {
-					res := r.Run(w, machine(width).WithPolicy(pol))
-					out[fmt.Sprintf("%s/w%d/%s", name, width, pol.Name())] = resultFingerprint(res)
+				got, want := resultFingerprint(r.Run(w, cfg)), resultFingerprint(replay)
+				if got != want {
+					t.Errorf("%s/w%d/%s: snapshot run differs from replay:\nreplay:   %s\nsnapshot: %s",
+						name, width, pol.Name(), want, got)
 				}
 			}
 		}
-		return out
 	}
-
-	cold, hot := run(false), run(true)
-	for k, c := range cold {
-		if hot[k] != c {
-			t.Errorf("%s: snapshot run differs from replay run:\ncold: %s\nhot:  %s", k, c, hot[k])
-		}
+	if st := r.CacheStats(); st.SnapshotBuilds != 2 {
+		t.Errorf("SnapshotBuilds = %d, want 2 (one per workload)", st.SnapshotBuilds)
 	}
 }
 
@@ -92,20 +95,6 @@ func TestSnapshotCounters(t *testing.T) {
 	}
 }
 
-// TestSnapshotDisabled checks the toggle: with snapshots off no counters
-// move and nothing is retained.
-func TestSnapshotDisabled(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 2000, Run: 4000}, 2)
-	r.SetSnapshots(false)
-	w, _ := workloads.ByName("gzip")
-	r.Run(w, machine(4))
-	r.Run(w, machine(4).WithPolicy(core.PolicyPRIRcCkpt))
-	st := r.CacheStats()
-	if st.SnapshotBuilds != 0 || st.SnapshotHits != 0 || st.SnapshotBytes != 0 {
-		t.Errorf("snapshot counters moved while disabled: %+v", st)
-	}
-}
-
 // TestSnapshotKeySharing checks the keying boundaries: width and policy
 // share a snapshot (fast-forward state is policy-independent), while a
 // different memory configuration or fast-forward budget must not.
@@ -141,14 +130,14 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	for i := 0; i < maxSnapshots+8; i++ {
 		r.WithBudget(Budget{FastForward: uint64(1000 + i), Run: 1000}).Run(w, machine(4))
 	}
-	r.s.mu.Lock()
-	n, bytes := len(r.s.snaps), r.s.snapBytes
-	r.s.mu.Unlock()
+	r.s.snaps.mu.Lock()
+	n, bytes := len(r.s.snaps.slots), r.s.snaps.bytes
+	r.s.snaps.mu.Unlock()
 	if n > maxSnapshots {
 		t.Errorf("resident snapshots = %d, want <= %d", n, maxSnapshots)
 	}
 	if bytes == 0 {
-		t.Error("snapBytes = 0 after eviction accounting")
+		t.Error("resident bytes = 0 after eviction accounting")
 	}
 	st := r.CacheStats()
 	if st.SnapshotBuilds != maxSnapshots+8 {
@@ -156,12 +145,11 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenFig8 regenerates the golden Figure 8 table with the
-// snapshot cache explicitly enabled on a parallel runner and checks the
-// pinned hash — snapshots must not perturb a single byte of any table.
+// TestSnapshotGoldenFig8 regenerates the golden Figure 8 table on a
+// parallel runner and checks the pinned hash — snapshots must not perturb a
+// single byte of any table.
 func TestSnapshotGoldenFig8(t *testing.T) {
 	r := NewParallelRunner(goldenBudget, 4)
-	r.SetSnapshots(true)
 	tbl, err := r.Fig8(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -130,10 +130,6 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout bounds one job's execution (0 = no limit).
 	JobTimeout time.Duration
-	// Budget is the default per-run measurement budget (zero fields keep
-	// the engine defaults); requests may override per job. It must match
-	// the Coordinator's Engine budget.
-	Budget struct{ FastForward, Run uint64 }
 	// Logger receives structured request/job logs; nil discards them.
 	Logger *log.Logger
 
@@ -146,8 +142,9 @@ type Config struct {
 	NodeID string
 	// Coordinator resolves every simulate and program point (store, then
 	// in-flight run, then its Engine) and owns the Engine experiment jobs
-	// also run on. Nil builds one over a memory-only store and an Engine
-	// sized to Workers at Budget; the server closes it with itself.
+	// also run on; its Engine's budget is the default for simulate jobs.
+	// Nil builds one over a memory-only store and an Engine sized to
+	// Workers at the default budget; the server closes it with itself.
 	Coordinator *fabric.Coordinator
 	// Fabric mounts the coordinator's control plane (/api/v1/fabric/...)
 	// on this server's handler.
@@ -193,10 +190,7 @@ func New(cfg Config) *Server {
 			coord, err = fabric.New(fabric.Config{
 				Store:  st,
 				NodeID: cmp.Or(cfg.NodeID, "local"),
-				Engine: prisim.NewEngine(
-					prisim.WithBudget(cfg.Budget.FastForward, cfg.Budget.Run),
-					prisim.WithParallelism(cfg.Workers),
-				),
+				Engine: prisim.NewEngine(prisim.WithParallelism(cfg.Workers)),
 			})
 		}
 		if err != nil {
@@ -279,17 +273,17 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 	}
 
 	// Content-address the point: make its budget explicit (request, then
-	// server config, then the universal defaults) and hash it. A
-	// client-supplied key must agree — a mismatch means the client hashed
-	// different inputs than this node will simulate, almost always
-	// kernel-version skew, and trusting it would poison every store keyed
-	// on the hash.
+	// the Engine's default) and hash it. A client-supplied key must agree —
+	// a mismatch means the client hashed different inputs than this node
+	// will simulate, almost always kernel-version skew, and trusting it
+	// would poison every store keyed on the hash.
 	var pt fabric.Point
 	switch req.Kind {
 	case prisimclient.KindSimulate:
+		ff, run := s.coord.Engine().Budget()
 		pt.Request = req
-		pt.Request.FastForward = cmp.Or(req.FastForward, s.cfg.Budget.FastForward, prisim.DefaultFastForward)
-		pt.Request.Run = cmp.Or(req.Run, s.cfg.Budget.Run, prisim.DefaultRun)
+		pt.Request.FastForward = cmp.Or(req.FastForward, ff)
+		pt.Request.Run = cmp.Or(req.Run, run)
 		pt.Request.CacheKey = prisimclient.CacheKeyFor(prisim.Version, pt.Request)
 	case prisimclient.KindProgram:
 		// Programs key on the assembled image's content hash, not the
