@@ -111,14 +111,14 @@ func BenchmarkFig12FPSpeedups(b *testing.B) {
 
 func BenchmarkAblationRenameInline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationRenameInline(benchCtx, 4)
+		t, err := newRunner().AblationRenameInline(benchCtx)
 		rows(b, t, err, 13)
 	}
 }
 
 func BenchmarkAblationDisambiguation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDisambiguation(benchCtx, 4)
+		t, err := newRunner().AblationDisambiguation(benchCtx)
 		rows(b, t, err, 13)
 	}
 }
@@ -165,21 +165,21 @@ func BenchmarkSchemeOverhead(b *testing.B) {
 
 func BenchmarkAblationDelayedAllocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDelayedAllocation(benchCtx, 4)
+		t, err := newRunner().AblationDelayedAllocation(benchCtx)
 		rows(b, t, err, 13)
 	}
 }
 
 func BenchmarkAblationMSHR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationMSHR(benchCtx, 4)
+		t, err := newRunner().AblationMSHR(benchCtx)
 		rows(b, t, err, 13)
 	}
 }
 
 func BenchmarkAblationPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationPrefetch(benchCtx, 4)
+		t, err := newRunner().AblationPrefetch(benchCtx)
 		rows(b, t, err, 13)
 	}
 }

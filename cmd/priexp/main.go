@@ -7,8 +7,9 @@
 //
 //	priexp [flags] [experiment ...]
 //
-// Experiments: table1 table2 fig1 fig2 fig8 fig9 fig10 fig11 fig12
-// ablation-inline ablation-mem (default: all paper experiments).
+// `priexp -h` lists every experiment, the ablations included. With none
+// named, priexp regenerates the paper's own tables and figures (table1
+// through fig12).
 //
 // Absolute numbers depend on the synthetic workloads and scaled-down run
 // budgets; the shapes (who wins, by roughly what factor) are the

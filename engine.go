@@ -295,82 +295,13 @@ func (t Table) String() string {
 	return st.String()
 }
 
-// experimentOrder lists the valid experiment names in canonical order.
-var experimentOrder = []string{
-	"table1", "table2", "fig1", "fig2", "fig8", "fig9", "fig10", "fig11",
-	"fig12", "ablation-inline", "ablation-mem", "ablation-delayed",
-	"ablation-mshr", "ablation-prefetch",
-}
-
-// experimentFuncs maps each experiment name to its harness driver.
-var experimentFuncs = map[string]func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error){
-	"table1": func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		return []*stats.Table{harness.Table1()}, nil
-	},
-	"table2": one((*harness.Runner).Table2),
-	"fig1":   one((*harness.Runner).Fig1),
-	"fig2": func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		a, b, err := r.Fig2(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{a, b}, nil
-	},
-	"fig8":              one((*harness.Runner).Fig8),
-	"fig9":              widths((*harness.Runner).Fig9),
-	"fig10":             widths((*harness.Runner).Fig10),
-	"fig11":             widths((*harness.Runner).Fig11),
-	"fig12":             widths((*harness.Runner).Fig12),
-	"ablation-inline":   at4((*harness.Runner).AblationRenameInline),
-	"ablation-mem":      at4((*harness.Runner).AblationDisambiguation),
-	"ablation-delayed":  at4((*harness.Runner).AblationDelayedAllocation),
-	"ablation-mshr":     at4((*harness.Runner).AblationMSHR),
-	"ablation-prefetch": at4((*harness.Runner).AblationPrefetch),
-}
-
-// one adapts a single-table driver.
-func one(fn func(*harness.Runner, context.Context) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t, err := fn(r, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-}
-
-// widths adapts a per-width driver run at both machine widths.
-func widths(fn func(*harness.Runner, context.Context, int) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t4, err := fn(r, ctx, 4)
-		if err != nil {
-			return nil, err
-		}
-		t8, err := fn(r, ctx, 8)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t4, t8}, nil
-	}
-}
-
-// at4 adapts a per-width driver run at the 4-wide machine only (the
-// ablations).
-func at4(fn func(*harness.Runner, context.Context, int) (*stats.Table, error)) func(context.Context, *harness.Runner) ([]*stats.Table, error) {
-	return func(ctx context.Context, r *harness.Runner) ([]*stats.Table, error) {
-		t, err := fn(r, ctx, 4)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-}
-
 // ExperimentNames lists the valid Experiment names in canonical order.
 func ExperimentNames() []string {
-	out := make([]string, len(experimentOrder))
-	copy(out, experimentOrder)
-	return out
+	names := make([]string, len(harness.Experiments))
+	for i, x := range harness.Experiments {
+		names[i] = x.Name
+	}
+	return names
 }
 
 // ExperimentTables regenerates one of the paper's tables or figures and
@@ -379,20 +310,22 @@ func ExperimentNames() []string {
 // repeated calls produce identical tables regardless of parallelism.
 // o supplies the per-run budget (other Options fields are ignored).
 func (e *Engine) ExperimentTables(ctx context.Context, name string, o Options) ([]Table, error) {
-	fn, ok := experimentFuncs[name]
-	if !ok {
-		return nil, fmt.Errorf("prisim: %w: %q (have: %s)",
-			ErrUnknownExperiment, name, strings.Join(experimentOrder, " "))
+	for _, x := range harness.Experiments {
+		if x.Name != name {
+			continue
+		}
+		ts, err := x.Run(e.runnerFor(o), ctx)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Table, 0, len(ts))
+		for _, t := range ts {
+			out = append(out, Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
+		}
+		return out, nil
 	}
-	ts, err := fn(ctx, e.runnerFor(o))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Table, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
-	}
-	return out, nil
+	return nil, fmt.Errorf("prisim: %w: %q (have: %s)",
+		ErrUnknownExperiment, name, strings.Join(ExperimentNames(), " "))
 }
 
 // Experiment regenerates one of the paper's tables or figures as rendered
@@ -411,9 +344,10 @@ func (e *Engine) Experiment(ctx context.Context, name string, o Options) (string
 	return sb.String(), nil
 }
 
-// WriteReport regenerates the full experiment suite — every table plus the
-// executable shape checklist — as a self-contained markdown report on w.
-// o supplies the per-run budget.
+// WriteReport regenerates the full experiment suite — every experiment
+// ExperimentNames lists plus the executable shape checklist — as a
+// self-contained markdown report on w, stopping at the first experiment
+// that fails. o supplies the per-run budget.
 func (e *Engine) WriteReport(ctx context.Context, w io.Writer, o Options) error {
 	return e.runnerFor(o).WriteReport(ctx, w)
 }

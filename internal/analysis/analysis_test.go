@@ -89,7 +89,7 @@ func TestParseIgnore(t *testing.T) {
 	}{
 		{"//lint:ignore alpha because reasons", []string{"alpha"}},
 		{"//lint:ignore alpha,beta shared justification", []string{"alpha", "beta"}},
-		{"//lint:ignore alpha", nil},  // reason mandatory
+		{"//lint:ignore alpha", nil},    // reason mandatory
 		{"// lint:ignore alpha x", nil}, // not a directive (space)
 		{"//lint:ignored alpha x", nil},
 	}

@@ -28,15 +28,15 @@ type Kind uint8
 // Token kinds. Operator kinds exist for the parser's constant-expression
 // grammar (.word 3*N+1, ldq r2, (OFF+8)(r1)).
 const (
-	EOF     Kind = iota
-	Illegal      // lexing error; Text holds the message
-	Newline      // statement separator
-	Ident        // mnemonic, label, register, or symbol reference
-	Directive    // .word, .text, ... (Text includes the dot)
-	Int          // integer literal (Text verbatim: 42, 0x2A, 0b101010)
-	Float        // floating literal (Text verbatim: 2.5, 1e-3)
-	Str          // string literal (Text holds the decoded value)
-	MacroArg     // \name or \@ inside a macro body (Text without the backslash)
+	EOF       Kind = iota
+	Illegal        // lexing error; Text holds the message
+	Newline        // statement separator
+	Ident          // mnemonic, label, register, or symbol reference
+	Directive      // .word, .text, ... (Text includes the dot)
+	Int            // integer literal (Text verbatim: 42, 0x2A, 0b101010)
+	Float          // floating literal (Text verbatim: 2.5, 1e-3)
+	Str            // string literal (Text holds the decoded value)
+	MacroArg       // \name or \@ inside a macro body (Text without the backslash)
 	Colon
 	Comma
 	LParen

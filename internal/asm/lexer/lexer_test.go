@@ -80,9 +80,9 @@ func TestStringEscapes(t *testing.T) {
 
 func TestStringErrors(t *testing.T) {
 	cases := map[string]string{
-		`.ascii "abc`:    "unterminated",
-		`.ascii "a\q"`:   "unknown escape",
-		`.ascii "a\x4"`:  "two hex digits",
+		`.ascii "abc`:     "unterminated",
+		`.ascii "a\q"`:    "unknown escape",
+		`.ascii "a\x4"`:   "two hex digits",
 		".ascii \"a\nb\"": "unterminated",
 	}
 	for src, wantSub := range cases {

@@ -199,13 +199,13 @@ main:
 
 func TestMacroErrors(t *testing.T) {
 	cases := map[string]string{
-		".macro m\nnop\n.endm\n.macro m\nnop\n.endm\nhalt": "duplicate macro",
-		".macro add\nnop\n.endm\nhalt":                     "shadows an instruction",
-		".macro m a\nnop\n.endm\n.text\nm 1, 2\nhalt":      "takes 1 argument(s), got 2",
+		".macro m\nnop\n.endm\n.macro m\nnop\n.endm\nhalt":  "duplicate macro",
+		".macro add\nnop\n.endm\nhalt":                      "shadows an instruction",
+		".macro m a\nnop\n.endm\n.text\nm 1, 2\nhalt":       "takes 1 argument(s), got 2",
 		".macro m\naddi r1, r1, \\k\n.endm\n.text\nm\nhalt": `unknown macro parameter \k`,
-		".macro m\nnop\nhalt":                              "missing .endm",
-		".endm\nhalt":                                      ".endm without",
-		".macro r\nr\n.endm\n.text\nr\nhalt":               "exceeds depth",
+		".macro m\nnop\nhalt":                               "missing .endm",
+		".endm\nhalt":                                       ".endm without",
+		".macro r\nr\n.endm\n.text\nr\nhalt":                "exceeds depth",
 	}
 	for src, want := range cases {
 		pe := parseErr(t, src)

@@ -121,8 +121,8 @@ type flight struct {
 // are mutated only under the coordinator's mu.
 type matrixRun struct {
 	id      string
-	spec    prisimclient.Matrix // normalized
-	reqs    []prisimclient.JobRequest
+	spec    prisimclient.Matrix       // normalized
+	reqs    []prisimclient.JobRequest // one per distinct cache key, in Expand order
 	created time.Time
 
 	state      prisimclient.JobState
@@ -324,10 +324,20 @@ func (c *Coordinator) buildRunLocked(spec prisimclient.Matrix, created time.Time
 	if err := ValidateMatrix(spec); err != nil {
 		return nil, err
 	}
+	// A degenerate spec (say Widths [4, 4]) names a point twice; the run
+	// keeps its first request, so every count below sees the point once.
+	var reqs []prisimclient.JobRequest
+	seen := make(map[string]bool)
+	for _, req := range Expand(c.kernel, spec) {
+		if !seen[req.CacheKey] {
+			seen[req.CacheKey] = true
+			reqs = append(reqs, req)
+		}
+	}
 	return &matrixRun{
 		id:         MatrixID(c.kernel, spec),
 		spec:       spec,
-		reqs:       Expand(c.kernel, spec),
+		reqs:       reqs,
 		created:    created,
 		state:      prisimclient.StateRunning,
 		results:    make(map[string]prisim.Result),
@@ -343,10 +353,6 @@ func (c *Coordinator) attachLocked(mr *matrixRun) {
 	c.matrixOrder = append(c.matrixOrder, mr.id)
 	for _, req := range mr.reqs {
 		key := req.CacheKey
-		if _, dup := mr.results[key]; dup {
-			// A degenerate spec can name one point twice; count it once.
-			continue
-		}
 		if e, ok := c.store.Get(key); ok {
 			c.recordPointLocked(mr, key, e.Result, e.ComputedBy, srcStore)
 			continue
@@ -362,15 +368,6 @@ func (c *Coordinator) attachLocked(mr *matrixRun) {
 	}
 	// An all-warm matrix already completed inside the last recordPointLocked.
 	c.cond.Broadcast()
-}
-
-// uniquePoints counts the distinct cache keys a run expands to.
-func (c *Coordinator) uniquePoints(mr *matrixRun) int {
-	seen := make(map[string]bool, len(mr.reqs))
-	for _, r := range mr.reqs {
-		seen[r.CacheKey] = true
-	}
-	return len(seen)
 }
 
 // pointSource says how a point reached a matrix.
@@ -402,7 +399,7 @@ func (c *Coordinator) recordPointLocked(mr *matrixRun, key string, res prisim.Re
 	case srcJoin:
 		// Counted in coalesced at attach time.
 	}
-	if mr.doneCount == c.uniquePoints(mr) {
+	if mr.doneCount == len(mr.reqs) {
 		c.finishRunLocked(mr)
 	}
 }
@@ -448,7 +445,7 @@ func (c *Coordinator) statusLocked(mr *matrixRun) prisimclient.MatrixStatus {
 		Spec:          mr.spec,
 		State:         mr.state,
 		Error:         mr.errMsg,
-		Points:        c.uniquePoints(mr),
+		Points:        len(mr.reqs),
 		Done:          mr.doneCount,
 		StoreHits:     mr.hits,
 		Executed:      mr.executed,
@@ -496,15 +493,10 @@ func (c *Coordinator) MatrixResult(id string) (prisimclient.MatrixResult, error)
 	case prisimclient.StateFailed:
 		return prisimclient.MatrixResult{}, fmt.Errorf("matrix failed: %s", mr.errMsg)
 	default:
-		return prisimclient.MatrixResult{}, fmt.Errorf("%w: %d/%d points resolved", ErrMatrixNotDone, mr.doneCount, c.uniquePoints(mr))
+		return prisimclient.MatrixResult{}, fmt.Errorf("%w: %d/%d points resolved", ErrMatrixNotDone, mr.doneCount, len(mr.reqs))
 	}
 	res := prisimclient.MatrixResult{ID: mr.id, KernelVersion: c.kernel, Tables: mr.tables}
-	seen := make(map[string]bool, len(mr.reqs))
 	for _, req := range mr.reqs {
-		if seen[req.CacheKey] {
-			continue
-		}
-		seen[req.CacheKey] = true
 		res.Points = append(res.Points, prisimclient.PointResult{
 			CacheKey:   req.CacheKey,
 			Request:    req,

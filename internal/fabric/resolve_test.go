@@ -3,6 +3,8 @@ package fabric
 import (
 	"context"
 	"errors"
+	"log"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,5 +81,57 @@ func TestCancelledJobHandsFlightToMatrix(t *testing.T) {
 	}
 	if _, ok := st.Get(req.CacheKey); !ok {
 		t.Error("the matrix's result was not stored")
+	}
+}
+
+// TestMatrixDuplicatePointsCountOnce submits a spec that names one point
+// twice (Widths [4, 4]; Validate accepts it so old records still replay).
+// The run keeps one request per cache key, so its status, counters, log
+// line and result each see the point once.
+func TestMatrixDuplicatePointsCountOnce(t *testing.T) {
+	st, err := OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs strings.Builder
+	c, err := New(Config{Store: st, Engine: prisim.NewEngine(), LocalSlots: 1, Logger: log.New(&logs, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	spec := prisimclient.Matrix{
+		Benchmarks: []string{"gzip"}, Policies: []string{"base"}, Widths: []int{4, 4},
+		FastForward: 300, Run: 1500,
+	}
+	status, _, err := c.SubmitMatrix(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Points != 1 {
+		t.Errorf("submitted Points = %d, want 1", status.Points)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := c.WaitMatrix(ctx, status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != prisimclient.StateDone {
+		t.Fatalf("state = %s (%s)", final.State, final.Error)
+	}
+	if final.Points != 1 || final.StoreHits+final.Executed != 1 || final.Coalesced != 0 {
+		t.Errorf("final Points = %d, StoreHits+Executed = %d, Coalesced = %d; want 1, 1, 0",
+			final.Points, final.StoreHits+final.Executed, final.Coalesced)
+	}
+	res, err := c.MatrixResult(status.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 1 {
+		t.Errorf("MatrixResult has %d points, want 1", len(res.Points))
+	}
+	if !strings.Contains(logs.String(), "points=1 hits=0 cold=1") {
+		t.Errorf("submit log does not count the point once:\n%s", logs.String())
 	}
 }

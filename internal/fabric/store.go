@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -54,8 +55,9 @@ type record struct {
 
 // Store is the fabric's durable content-addressed result store: an
 // append-only JSON-lines log on disk plus an in-memory index, replayed on
-// open. Appends are whole-line writes; a torn final line (crash mid-append)
-// is repaired by truncating to the last complete record on the next open.
+// open. Appends are whole-line writes; a torn final line (crash mid-append,
+// even one that lost only its newline) is repaired by truncating to the last
+// complete record on the next open.
 // A Store is safe for concurrent use.
 type Store struct {
 	mu sync.Mutex
@@ -111,26 +113,30 @@ func OpenStore(path string) (*Store, error) {
 }
 
 // replayLocked loads every complete record and returns the byte offset of
-// the end of the last good line. Only OpenStore calls it, before the store
-// is shared.
+// the end of the last good line. A line is good only if it ends in a
+// newline and decodes; replay stops at the first that is not. Lines have no
+// length cap. Only OpenStore calls it, before the store is shared.
 func (s *Store) replayLocked(f *os.File) (int64, error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	rd := bufio.NewReader(f)
 	var good int64
-	for sc.Scan() {
-		line := sc.Bytes()
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Incomplete or corrupt line — stop here; the caller truncates.
+	for {
+		line, err := rd.ReadBytes('\n')
+		if err == io.EOF {
+			// End of log, or a final line that lost its newline; the
+			// caller truncates the latter.
 			return good, nil
 		}
-		good += int64(len(line)) + 1 // line + newline
+		if err != nil {
+			return good, fmt.Errorf("fabric store: replay: %w", err)
+		}
+		var rec record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			// Corrupt line — stop here; the caller truncates.
+			return good, nil
+		}
+		good += int64(len(line))
 		s.applyLocked(rec)
 	}
-	if err := sc.Err(); err != nil {
-		return good, fmt.Errorf("fabric store: replay: %w", err)
-	}
-	return good, nil
 }
 
 // applyLocked folds one record into the in-memory index (first write wins

@@ -132,6 +132,94 @@ func TestStoreRepairsTornTail(t *testing.T) {
 	}
 }
 
+// TestStoreReplaysOversizedRecord reopens a log holding one record far
+// larger than a typical line (6 MiB of program output, over 8 MiB once
+// base64-encoded): replay has no line-length cap, so the store opens and
+// serves the record intact.
+func TestStoreReplaysOversizedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := testEntry("big", "w1")
+	big.Output = make([]byte, 6<<20)
+	for i := range big.Output {
+		big.Output[i] = byte(i)
+	}
+	if err := s.Put(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testEntry("k2", "w1")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatalf("reopening a log with an oversized record: %v", err)
+	}
+	defer s2.Close()
+	got, ok := s2.Get("big")
+	if !ok || !reflect.DeepEqual(got.Output, big.Output) {
+		t.Errorf("oversized record lost or changed across reopen (found %v, %d output bytes)", ok, len(got.Output))
+	}
+	if s2.Len() != 2 {
+		t.Errorf("Len = %d, want 2", s2.Len())
+	}
+}
+
+// TestStoreRepairsLostNewline covers a crash that drops only the final
+// newline: the last record still decodes, but it is not a complete line,
+// so replay discards and truncates it. Appends then start on a clean line
+// and survive the next reopen.
+func TestStoreRepairsLostNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if err := s.Put(testEntry(k, "w1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get("k2"); ok {
+		t.Error("record without its newline was replayed")
+	}
+	if err := s2.Put(testEntry("k3", "w2")); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+
+	s3, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	for _, k := range []string{"k1", "k3"} {
+		if _, ok := s3.Get(k); !ok {
+			t.Errorf("entry %s lost after repair+append+reopen", k)
+		}
+	}
+	if s3.Len() != 2 {
+		t.Errorf("Len after repair+append+reopen = %d, want 2", s3.Len())
+	}
+}
+
 func TestStoreHitMissCounters(t *testing.T) {
 	s, err := OpenStore("")
 	if err != nil {

@@ -6,12 +6,14 @@
 // The run matrix behind those tables — 27 workloads x 8 release policies x
 // 2 machine widths x a register-count axis — is embarrassingly parallel, so
 // a Runner executes timing runs on a bounded worker pool: every figure
-// driver submits its whole matrix up front, the pool simulates points
-// concurrently, and the driver assembles rows serially from the completed
-// set, so tables are byte-identical to a single-worker run while wall-clock
-// scales with cores. Concurrent requests for the same point are deduplicated
-// singleflight-style (each point simulates exactly once per Runner), and
-// every run observes context cancellation between instruction chunks.
+// driver declares its matrix once as a workloads × configs grid, the pool
+// simulates the grid's points concurrently, and the driver builds rows
+// serially from the returned grid, so tables are byte-identical to a
+// single-worker run while wall-clock scales with cores. Experiments lists
+// every driver by name. Concurrent requests for the same point are
+// deduplicated singleflight-style (each point simulates exactly once per
+// Runner), and every run observes context cancellation between instruction
+// chunks.
 package harness
 
 import (
@@ -291,12 +293,10 @@ func (r *Runner) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Con
 		return nil, err
 	}
 
-	select {
-	case r.s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := r.acquire(ctx); err != nil {
+		return nil, err
 	}
-	defer func() { <-r.s.sem }()
+	defer r.release()
 
 	var p *ooo.Pipeline
 	if warm != nil {
@@ -426,91 +426,58 @@ func RunProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool,
 	return res, p.Machine().Output(), nil
 }
 
-// point is one (workload, machine) cell of an experiment's run matrix.
-type point struct {
-	w   workloads.Workload
-	cfg ooo.Config
+// grid runs the workloads × configs matrix on the worker pool and returns
+// res[i][j], the result of ws[i] on cfgs[j]. Points are submitted workload
+// by workload: every point of one workload shares a fast-forward snapshot,
+// so the first point's build serves its siblings the moment it completes.
+// Drivers build their rows from the returned slice, so tables are
+// byte-identical to a single-worker run.
+func (r *Runner) grid(ctx context.Context, ws []workloads.Workload, cfgs ...ooo.Config) ([][]*Result, error) {
+	res := make([][]*Result, len(ws))
+	for i := range res {
+		res[i] = make([]*Result, len(cfgs))
+	}
+	err := fanOut(len(ws)*len(cfgs), func(k int) error {
+		i, j := k/len(cfgs), k%len(cfgs)
+		var err error
+		res[i][j], err = r.RunCtx(ctx, ws[i], cfgs[j])
+		return err
+	})
+	return res, err
 }
 
-// warm submits a whole run matrix to the worker pool and blocks until every
-// point has simulated (duplicates collapse via the singleflight cache).
-// Afterwards, RunCtx for any submitted point returns instantly, so drivers
-// can assemble rows serially and deterministically.
-//
-// Submission is grouped by workload: every point of one workload shares a
-// fast-forward snapshot, so clustering them lets the first point's build
-// serve all its siblings the moment it completes. The snapshot singleflight
-// guarantees each workload fast-forwards exactly once per sweep regardless
-// of scheduling; the grouping just keeps same-snapshot points adjacent.
-func (r *Runner) warm(ctx context.Context, pts []point) error {
-	order := make(map[string]int, len(pts))
-	groups := make([][]point, 0, len(pts))
-	for _, pt := range pts {
-		i, ok := order[pt.w.Name]
-		if !ok {
-			i = len(groups)
-			order[pt.w.Name] = i
-			groups = append(groups, nil)
-		}
-		groups[i] = append(groups[i], pt)
-	}
-
+// fanOut runs fn(i) for i in [0, n), each on its own goroutine, and returns
+// the first error.
+func fanOut(n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, group := range groups {
-		for _, pt := range group {
-			wg.Add(1)
-			go func(pt point) {
-				defer wg.Done()
-				if _, err := r.RunCtx(ctx, pt.w, pt.cfg); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}(pt)
-		}
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// forEach runs fn(i) for i in [0, n) concurrently, bounded by the worker
-// pool, and returns the first error. It backs the functional-emulation
-// experiments that bypass the timing-run cache.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(i int) error) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
+	var once sync.Once
+	var first error
+	wg.Add(n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			select {
-			case r.s.sem <- struct{}{}:
-			case <-ctx.Done():
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
-				return
-			}
-			defer func() { <-r.s.sem }()
 			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+				once.Do(func() { first = err })
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return first
 }
+
+// acquire takes a worker-pool slot, failing with ctx's error if ctx is
+// cancelled first. Every acquire is paired with a release.
+func (r *Runner) acquire(ctx context.Context) error {
+	select {
+	case r.s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a slot taken by acquire.
+func (r *Runner) release() { <-r.s.sem }
 
 // machine returns the Table 1 configuration for a width.
 func machine(width int) ooo.Config {
@@ -538,6 +505,68 @@ func mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
+}
+
+// Experiment is one named entry of the evaluation: a table or figure of
+// the paper, or one of the ablations.
+type Experiment struct {
+	Name string
+	Run  func(*Runner, context.Context) ([]*stats.Table, error)
+}
+
+// Experiments is the registry of every experiment, in canonical order. The
+// Engine's experiment API, the report, and prisimd's submit-time name
+// check all read it.
+var Experiments = []Experiment{
+	{"table1", func(*Runner, context.Context) ([]*stats.Table, error) {
+		return []*stats.Table{Table1()}, nil
+	}},
+	{"table2", single((*Runner).Table2)},
+	{"fig1", single((*Runner).Fig1)},
+	{"fig2", func(r *Runner, ctx context.Context) ([]*stats.Table, error) {
+		a, b, err := r.Fig2(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{a, b}, nil
+	}},
+	{"fig8", single((*Runner).Fig8)},
+	{"fig9", bothWidths((*Runner).Fig9)},
+	{"fig10", bothWidths((*Runner).Fig10)},
+	{"fig11", bothWidths((*Runner).Fig11)},
+	{"fig12", bothWidths((*Runner).Fig12)},
+	{"ablation-inline", single((*Runner).AblationRenameInline)},
+	{"ablation-mem", single((*Runner).AblationDisambiguation)},
+	{"ablation-delayed", single((*Runner).AblationDelayedAllocation)},
+	{"ablation-mshr", single((*Runner).AblationMSHR)},
+	{"ablation-prefetch", single((*Runner).AblationPrefetch)},
+}
+
+// single lifts a one-table driver into a registry entry.
+func single(fn func(*Runner, context.Context) (*stats.Table, error)) func(*Runner, context.Context) ([]*stats.Table, error) {
+	return func(r *Runner, ctx context.Context) ([]*stats.Table, error) {
+		t, err := fn(r, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return []*stats.Table{t}, nil
+	}
+}
+
+// bothWidths lifts a per-width driver into a registry entry that renders
+// the 4-wide table, then the 8-wide one.
+func bothWidths(fn func(*Runner, context.Context, int) (*stats.Table, error)) func(*Runner, context.Context) ([]*stats.Table, error) {
+	return func(r *Runner, ctx context.Context) ([]*stats.Table, error) {
+		var ts []*stats.Table
+		for _, width := range []int{4, 8} {
+			t, err := fn(r, ctx, width)
+			if err != nil {
+				return nil, err
+			}
+			ts = append(ts, t)
+		}
+		return ts, nil
+	}
 }
 
 // Table1 renders the machine configurations (static; the paper's Table 1).
@@ -569,41 +598,34 @@ func Table1() *stats.Table {
 // Table2 reproduces the paper's Table 2: baseline IPC for every benchmark
 // on both machine widths.
 func (r *Runner) Table2(ctx context.Context) (*stats.Table, error) {
-	var pts []point
-	for _, w := range workloads.All() {
-		pts = append(pts, point{w, machine(4)}, point{w, machine(8)})
-	}
-	if err := r.warm(ctx, pts); err != nil {
+	ws := workloads.All()
+	res, err := r.grid(ctx, ws, machine(4), machine(8))
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
 		Title:   "Table 2: benchmark programs and baseline IPC",
 		Columns: []string{"bench", "class", "IPC(4w)", "paper(4w)", "IPC(8w)", "paper(8w)"},
 	}
-	for _, w := range workloads.All() {
-		r4, err := r.RunCtx(ctx, w, machine(4))
-		if err != nil {
-			return nil, err
-		}
-		r8, err := r.RunCtx(ctx, w, machine(8))
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range ws {
 		t.AddRow(w.Name, w.Class.String(),
-			stats.F(r4.IPC, 2), stats.F(w.PaperIPC4, 2),
-			stats.F(r8.IPC, 2), stats.F(w.PaperIPC8, 2))
+			stats.F(res[i][0].IPC, 2), stats.F(w.PaperIPC4, 2),
+			stats.F(res[i][1].IPC, 2), stats.F(w.PaperIPC8, 2))
 	}
 	return t, nil
+}
+
+// lifetime is a result's total register lifetime across the three phases.
+func lifetime(res *Result) float64 {
+	return res.AllocToWrite + res.WriteToRead + res.ReadToRelease
 }
 
 // Fig1 reproduces Figure 1: average register lifetime split into the three
 // phases, per integer benchmark, on the baseline 4- and 8-wide machines.
 func (r *Runner) Fig1(ctx context.Context) (*stats.Table, error) {
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		pts = append(pts, point{w, machine(4)}, point{w, machine(8)})
-	}
-	if err := r.warm(ctx, pts); err != nil {
+	ws := suite(workloads.Int)
+	res, err := r.grid(ctx, ws, machine(4), machine(8))
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
@@ -612,20 +634,13 @@ func (r *Runner) Fig1(ctx context.Context) (*stats.Table, error) {
 			"alloc->wr(4w)", "wr->rd(4w)", "rd->rel(4w)", "total(4w)",
 			"alloc->wr(8w)", "wr->rd(8w)", "rd->rel(8w)", "total(8w)"},
 	}
-	for _, w := range suite(workloads.Int) {
-		r4, err := r.RunCtx(ctx, w, machine(4))
-		if err != nil {
-			return nil, err
+	for i, w := range ws {
+		row := []string{w.Name}
+		for _, x := range res[i] {
+			row = append(row, stats.F(x.AllocToWrite, 1), stats.F(x.WriteToRead, 1),
+				stats.F(x.ReadToRelease, 1), stats.F(lifetime(x), 1))
 		}
-		r8, err := r.RunCtx(ctx, w, machine(8))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name,
-			stats.F(r4.AllocToWrite, 1), stats.F(r4.WriteToRead, 1), stats.F(r4.ReadToRelease, 1),
-			stats.F(r4.AllocToWrite+r4.WriteToRead+r4.ReadToRelease, 1),
-			stats.F(r8.AllocToWrite, 1), stats.F(r8.WriteToRead, 1), stats.F(r8.ReadToRelease, 1),
-			stats.F(r8.AllocToWrite+r8.WriteToRead+r8.ReadToRelease, 1))
+		t.AddRow(row...)
 	}
 	return t, nil
 }
@@ -637,7 +652,11 @@ func (r *Runner) Fig1(ctx context.Context) (*stats.Table, error) {
 func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 	analyze := func(ws []workloads.Workload) ([]*stats.Significance, error) {
 		sigs := make([]*stats.Significance, len(ws))
-		err := r.forEach(ctx, len(ws), func(i int) error {
+		err := fanOut(len(ws), func(i int) error {
+			if err := r.acquire(ctx); err != nil {
+				return err
+			}
+			defer r.release()
 			m := emu.New(ws[i].Build(0))
 			m.Run(r.Budget.FastForward)
 			sigs[i] = stats.Analyze(m, r.Budget.Run)
@@ -690,16 +709,15 @@ func (r *Runner) Fig2(ctx context.Context) (*stats.Table, *stats.Table, error) {
 // Fig8 reproduces Figure 8: lifetime reduction under PRI and PRI+ER versus
 // the baseline, integer benchmarks, both widths.
 func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
-	pols := []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		for _, width := range []int{4, 8} {
-			for _, pol := range pols {
-				pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-			}
+	var cfgs []ooo.Config
+	for _, width := range []int{4, 8} {
+		for _, pol := range []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
+			cfgs = append(cfgs, machine(width).WithPolicy(pol))
 		}
 	}
-	if err := r.warm(ctx, pts); err != nil {
+	ws := suite(workloads.Int)
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
@@ -708,60 +726,42 @@ func (r *Runner) Fig8(ctx context.Context) (*stats.Table, error) {
 			"base(4w)", "pri(4w)", "pri+er(4w)",
 			"base(8w)", "pri(8w)", "pri+er(8w)"},
 	}
-	total := func(res *Result) string {
-		return stats.F(res.AllocToWrite+res.WriteToRead+res.ReadToRelease, 1)
-	}
-	for _, w := range suite(workloads.Int) {
+	for i, w := range ws {
 		row := []string{w.Name}
-		for _, width := range []int{4, 8} {
-			for _, pol := range pols {
-				res, err := r.RunCtx(ctx, w, machine(width).WithPolicy(pol))
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, total(res))
-			}
+		for _, x := range res[i] {
+			row = append(row, stats.F(lifetime(x), 1))
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
 }
 
-// Fig9PRs is the physical register sweep of Figure 9.
+// Fig9PRs is the physical register sweep of Figure 9; its first entry is
+// the normalization point.
 var Fig9PRs = []int{40, 48, 56, 64, 72, 80, 96}
 
 // Fig9 reproduces Figure 9: baseline speedup versus register file size,
 // normalized to 40 registers, for every benchmark at the given width.
 func (r *Runner) Fig9(ctx context.Context, width int) (*stats.Table, error) {
-	var pts []point
-	for _, w := range workloads.All() {
-		for _, n := range Fig9PRs {
-			pts = append(pts, point{w, machine(width).WithPRs(n)})
-		}
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
 	cols := []string{"bench"}
+	var cfgs []ooo.Config
 	for _, n := range Fig9PRs {
 		cols = append(cols, fmt.Sprintf("PR=%d", n))
+		cfgs = append(cfgs, machine(width).WithPRs(n))
+	}
+	ws := workloads.All()
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
+		return nil, err
 	}
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Figure 9: register file sensitivity, %d-wide (speedup vs PR=40)", width),
 		Columns: cols,
 	}
-	for _, w := range workloads.All() {
-		base, err := r.RunCtx(ctx, w, machine(width).WithPRs(40))
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range ws {
 		row := []string{w.Name}
-		for _, n := range Fig9PRs {
-			res, err := r.RunCtx(ctx, w, machine(width).WithPRs(n))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.F(res.IPC/base.IPC, 2))
+		for _, x := range res[i] {
+			row = append(row, stats.F(x.IPC/res[i][0].IPC, 2))
 		}
 		t.AddRow(row...)
 	}
@@ -771,14 +771,13 @@ func (r *Runner) Fig9(ctx context.Context, width int) (*stats.Table, error) {
 // speedupTable renders Figures 10 and 12: per-benchmark IPC speedup of each
 // scheme over the baseline, plus the arithmetic mean row.
 func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width int, title string) (*stats.Table, error) {
-	var pts []point
-	for _, w := range suite(class) {
-		pts = append(pts, point{w, machine(width).WithPolicy(core.PolicyBase)})
-		for _, pol := range core.AllPolicies {
-			pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-		}
+	cfgs := []ooo.Config{machine(width).WithPolicy(core.PolicyBase)}
+	for _, pol := range core.AllPolicies {
+		cfgs = append(cfgs, machine(width).WithPolicy(pol))
 	}
-	if err := r.warm(ctx, pts); err != nil {
+	ws := suite(class)
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
@@ -788,27 +787,18 @@ func (r *Runner) speedupTable(ctx context.Context, class workloads.Class, width 
 			"PRI+ER", "InfPR"},
 	}
 	sums := make([][]float64, len(core.AllPolicies))
-	for _, w := range suite(class) {
-		cfg := machine(width)
-		base, err := r.RunCtx(ctx, w, cfg.WithPolicy(core.PolicyBase))
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range ws {
 		row := []string{w.Name}
-		for i, pol := range core.AllPolicies {
-			res, err := r.RunCtx(ctx, w, cfg.WithPolicy(pol))
-			if err != nil {
-				return nil, err
-			}
-			sp := res.IPC / base.IPC
-			sums[i] = append(sums[i], sp)
+		for p, x := range res[i][1:] {
+			sp := x.IPC / res[i][0].IPC
+			sums[p] = append(sums[p], sp)
 			row = append(row, stats.F(sp, 3))
 		}
 		t.AddRow(row...)
 	}
 	avg := []string{"average"}
-	for i := range core.AllPolicies {
-		avg = append(avg, stats.F(mean(sums[i]), 3))
+	for _, s := range sums {
+		avg = append(avg, stats.F(mean(s), 3))
 	}
 	t.AddRow(avg...)
 	return t, nil
@@ -829,28 +819,52 @@ func (r *Runner) Fig12(ctx context.Context, width int) (*stats.Table, error) {
 // Fig11 reproduces Figure 11: average physical register file occupancy for
 // base, ER, PRI, and PRI+ER on the integer benchmarks.
 func (r *Runner) Fig11(ctx context.Context, width int) (*stats.Table, error) {
-	pols := []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		for _, pol := range pols {
-			pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-		}
+	var cfgs []ooo.Config
+	for _, pol := range []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
+		cfgs = append(cfgs, machine(width).WithPolicy(pol))
 	}
-	if err := r.warm(ctx, pts); err != nil {
+	ws := suite(workloads.Int)
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Figure 11: avg integer PRF occupancy, %d-wide", width),
 		Columns: []string{"bench", "base", "ER", "PRI", "PRI+ER"},
 	}
-	for _, w := range suite(workloads.Int) {
+	for i, w := range ws {
 		row := []string{w.Name}
-		for _, pol := range pols {
-			res, err := r.RunCtx(ctx, w, machine(width).WithPolicy(pol))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, stats.F(res.IntOccupancy, 1))
+		for _, x := range res[i] {
+			row = append(row, stats.F(x.IntOccupancy, 1))
+		}
+		t.AddRow(row...)
+	}
+	return t, nil
+}
+
+// ablationWidth is the machine width every ablation runs at.
+const ablationWidth = 4
+
+// ipcAblation renders an ablation table over the integer suite: one IPC
+// column per config, headed by cols, plus — when ratio names it — a column
+// of the last config's IPC over the first's.
+func (r *Runner) ipcAblation(ctx context.Context, title string, cols []string, ratio string, cfgs ...ooo.Config) (*stats.Table, error) {
+	ws := suite(workloads.Int)
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{Title: title, Columns: append([]string{"bench"}, cols...)}
+	if ratio != "" {
+		t.Columns = append(t.Columns, ratio)
+	}
+	for i, w := range ws {
+		row := []string{w.Name}
+		for _, x := range res[i] {
+			row = append(row, stats.F(x.IPC, 3))
+		}
+		if ratio != "" {
+			row = append(row, stats.F(res[i][len(cfgs)-1].IPC/res[i][0].IPC, 3))
 		}
 		t.AddRow(row...)
 	}
@@ -859,194 +873,61 @@ func (r *Runner) Fig11(ctx context.Context, width int) (*stats.Table, error) {
 
 // AblationRenameInline compares PRI with and without the Section 6
 // future-work extension (rename-time inlining of narrow load-immediates).
-func (r *Runner) AblationRenameInline(ctx context.Context, width int) (*stats.Table, error) {
-	cfgs := func(width int) (ooo.Config, ooo.Config) {
-		cfg := machine(width).WithPolicy(core.PolicyPRIRcCkpt)
-		ext := cfg
-		ext.InlineAtRename = true
-		return cfg, ext
-	}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		cfg, ext := cfgs(width)
-		pts = append(pts, point{w, cfg}, point{w, ext})
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: rename-time inlining extension, %d-wide", width),
-		Columns: []string{"bench", "PRI IPC", "PRI+renameInline IPC", "gain"},
-	}
-	for _, w := range suite(workloads.Int) {
-		cfg, extCfg := cfgs(width)
-		basePRI, err := r.RunCtx(ctx, w, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ext, err := r.RunCtx(ctx, w, extCfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, stats.F(basePRI.IPC, 3), stats.F(ext.IPC, 3),
-			stats.F(ext.IPC/basePRI.IPC, 3))
-	}
-	return t, nil
+func (r *Runner) AblationRenameInline(ctx context.Context) (*stats.Table, error) {
+	cfg := machine(ablationWidth).WithPolicy(core.PolicyPRIRcCkpt)
+	ext := cfg
+	ext.InlineAtRename = true
+	return r.ipcAblation(ctx,
+		fmt.Sprintf("Ablation: rename-time inlining extension, %d-wide", ablationWidth),
+		[]string{"PRI IPC", "PRI+renameInline IPC"}, "gain", cfg, ext)
 }
 
 // AblationDelayedAllocation explores the paper's Section 6 virtual-physical
 // direction: baseline vs delayed register allocation vs delayed allocation
 // combined with PRI, at the Table 1 register file size.
-func (r *Runner) AblationDelayedAllocation(ctx context.Context, width int) (*stats.Table, error) {
+func (r *Runner) AblationDelayedAllocation(ctx context.Context) (*stats.Table, error) {
 	// A 40-register file keeps the writeback gate engaged so the
 	// PRI interaction is visible (at 64 registers the gate rarely binds).
 	const prs = 40
-	cfgs := func(width int) (ooo.Config, ooo.Config, ooo.Config) {
-		base := machine(width).WithPRs(prs)
-		cfgD := machine(width).WithPRs(prs)
-		cfgD.DelayedAllocation = true
-		cfgDP := machine(width).WithPolicy(core.PolicyPRIRcLazy).WithPRs(prs)
-		cfgDP.DelayedAllocation = true
-		return base, cfgD, cfgDP
-	}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		a, b, c := cfgs(width)
-		pts = append(pts, point{w, a}, point{w, b}, point{w, c})
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: virtual-physical delayed allocation, %d-wide, %d PRs", width, prs),
-		Columns: []string{"bench", "base IPC", "delayed IPC", "delayed+PRI IPC"},
-	}
-	for _, w := range suite(workloads.Int) {
-		cfgB, cfgD, cfgDP := cfgs(width)
-		base, err := r.RunCtx(ctx, w, cfgB)
-		if err != nil {
-			return nil, err
-		}
-		delayed, err := r.RunCtx(ctx, w, cfgD)
-		if err != nil {
-			return nil, err
-		}
-		both, err := r.RunCtx(ctx, w, cfgDP)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, stats.F(base.IPC, 3), stats.F(delayed.IPC, 3), stats.F(both.IPC, 3))
-	}
-	return t, nil
+	base := machine(ablationWidth).WithPRs(prs)
+	delayed := base
+	delayed.DelayedAllocation = true
+	both := delayed.WithPolicy(core.PolicyPRIRcLazy)
+	return r.ipcAblation(ctx,
+		fmt.Sprintf("Ablation: virtual-physical delayed allocation, %d-wide, %d PRs", ablationWidth, prs),
+		[]string{"base IPC", "delayed IPC", "delayed+PRI IPC"}, "", base, delayed, both)
 }
 
 // AblationMSHR bounds memory-level parallelism: the default model overlaps
 // misses without limit (as sim-outorder does); this table shows how much of
 // the memory-bound benchmarks' throughput that assumption is worth.
-func (r *Runner) AblationMSHR(ctx context.Context, width int) (*stats.Table, error) {
-	cfgs := func(width int) (ooo.Config, ooo.Config, ooo.Config) {
-		cfg8 := machine(width)
-		cfg8.Mem.MSHRs = 8
-		cfg2 := machine(width)
-		cfg2.Mem.MSHRs = 2
-		return machine(width), cfg8, cfg2
-	}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		a, b, c := cfgs(width)
-		pts = append(pts, point{w, a}, point{w, b}, point{w, c})
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: MSHR-bounded miss overlap, %d-wide baseline", width),
-		Columns: []string{"bench", "unlimited IPC", "8 MSHRs", "2 MSHRs"},
-	}
-	for _, w := range suite(workloads.Int) {
-		cfgU, cfg8, cfg2 := cfgs(width)
-		unlimited, err := r.RunCtx(ctx, w, cfgU)
-		if err != nil {
-			return nil, err
-		}
-		m8, err := r.RunCtx(ctx, w, cfg8)
-		if err != nil {
-			return nil, err
-		}
-		m2, err := r.RunCtx(ctx, w, cfg2)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, stats.F(unlimited.IPC, 3), stats.F(m8.IPC, 3), stats.F(m2.IPC, 3))
-	}
-	return t, nil
+func (r *Runner) AblationMSHR(ctx context.Context) (*stats.Table, error) {
+	unlimited, m8, m2 := machine(ablationWidth), machine(ablationWidth), machine(ablationWidth)
+	m8.Mem.MSHRs = 8
+	m2.Mem.MSHRs = 2
+	return r.ipcAblation(ctx,
+		fmt.Sprintf("Ablation: MSHR-bounded miss overlap, %d-wide baseline", ablationWidth),
+		[]string{"unlimited IPC", "8 MSHRs", "2 MSHRs"}, "", unlimited, m8, m2)
 }
 
 // AblationPrefetch adds an idealized next-line data prefetcher to the
 // baseline: it shows how much of the streaming benchmarks' miss cost the
 // Table 1 machine (which has none) leaves on the table.
-func (r *Runner) AblationPrefetch(ctx context.Context, width int) (*stats.Table, error) {
-	pfCfg := func(width int) ooo.Config {
-		cfg := machine(width)
-		cfg.Mem.NextLinePrefetch = true
-		return cfg
-	}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		pts = append(pts, point{w, machine(width)}, point{w, pfCfg(width)})
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: next-line data prefetch, %d-wide baseline", width),
-		Columns: []string{"bench", "no-prefetch IPC", "prefetch IPC", "gain"},
-	}
-	for _, w := range suite(workloads.Int) {
-		base, err := r.RunCtx(ctx, w, machine(width))
-		if err != nil {
-			return nil, err
-		}
-		pf, err := r.RunCtx(ctx, w, pfCfg(width))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, stats.F(base.IPC, 3), stats.F(pf.IPC, 3), stats.F(pf.IPC/base.IPC, 3))
-	}
-	return t, nil
+func (r *Runner) AblationPrefetch(ctx context.Context) (*stats.Table, error) {
+	pf := machine(ablationWidth)
+	pf.Mem.NextLinePrefetch = true
+	return r.ipcAblation(ctx,
+		fmt.Sprintf("Ablation: next-line data prefetch, %d-wide baseline", ablationWidth),
+		[]string{"no-prefetch IPC", "prefetch IPC"}, "gain", machine(ablationWidth), pf)
 }
 
 // AblationDisambiguation compares oracle and conservative memory
 // disambiguation on the baseline machine (a documented model choice).
-func (r *Runner) AblationDisambiguation(ctx context.Context, width int) (*stats.Table, error) {
-	consCfg := func(width int) ooo.Config {
-		cfg := machine(width)
-		cfg.ConservativeDisambiguation = true
-		cfg.Name = cfg.Name + "-consv"
-		return cfg
-	}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		pts = append(pts, point{w, machine(width)}, point{w, consCfg(width)})
-	}
-	if err := r.warm(ctx, pts); err != nil {
-		return nil, err
-	}
-	t := &stats.Table{
-		Title:   fmt.Sprintf("Ablation: memory disambiguation, %d-wide baseline", width),
-		Columns: []string{"bench", "oracle IPC", "conservative IPC", "ratio"},
-	}
-	for _, w := range suite(workloads.Int) {
-		oracle, err := r.RunCtx(ctx, w, machine(width))
-		if err != nil {
-			return nil, err
-		}
-		cons, err := r.RunCtx(ctx, w, consCfg(width))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(w.Name, stats.F(oracle.IPC, 3), stats.F(cons.IPC, 3),
-			stats.F(cons.IPC/oracle.IPC, 3))
-	}
-	return t, nil
+func (r *Runner) AblationDisambiguation(ctx context.Context) (*stats.Table, error) {
+	cons := machine(ablationWidth)
+	cons.ConservativeDisambiguation = true
+	cons.Name += "-consv"
+	return r.ipcAblation(ctx,
+		fmt.Sprintf("Ablation: memory disambiguation, %d-wide baseline", ablationWidth),
+		[]string{"oracle IPC", "conservative IPC"}, "ratio", machine(ablationWidth), cons)
 }

@@ -7,7 +7,7 @@ import (
 	"strconv"
 
 	"prisim/internal/core"
-	"prisim/internal/stats"
+	"prisim/internal/ooo"
 	"prisim/internal/workloads"
 )
 
@@ -24,24 +24,24 @@ type ShapeCheck struct {
 // properties EXPERIMENTS.md discusses; the harness makes them executable so
 // regressions in the model or workloads surface mechanically.
 func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
-	// The whole matrix the checks consult, submitted up front.
+	// The whole matrix the checks consult: five policies at both widths,
+	// then the Figure 9 extremes on the 4-wide machine.
 	pols := []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcLazy,
 		core.PolicyPRIPlusER, core.PolicyInfinite}
-	var pts []point
-	for _, w := range workloads.All() {
-		for _, width := range []int{4, 8} {
-			for _, pol := range pols {
-				pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-			}
+	var cfgs []ooo.Config
+	for _, width := range []int{4, 8} {
+		for _, pol := range pols {
+			cfgs = append(cfgs, machine(width).WithPolicy(pol))
 		}
-		pts = append(pts, point{w, machine(4).WithPRs(40)}, point{w, machine(4).WithPRs(96)})
 	}
-	for _, w := range suite(workloads.Int) {
-		pts = append(pts, point{w, machine(4).WithPolicy(core.PolicyPRIPlusER)})
-	}
-	if err := r.warm(ctx, pts); err != nil {
+	cfgs = append(cfgs, machine(4).WithPRs(40), machine(4).WithPRs(96))
+	ws := workloads.All()
+	res, err := r.grid(ctx, ws, cfgs...)
+	if err != nil {
 		return nil, err
 	}
+	// at returns ws[i]'s result under pols[p] at the given width.
+	at := func(i, width, p int) *Result { return res[i][(width/4-1)*len(pols)+p] }
 
 	var checks []ShapeCheck
 	add := func(name string, pass bool, note string) {
@@ -54,31 +54,15 @@ func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
 		for _, width := range []int{4, 8} {
 			var a avg
 			n := 0
-			for _, w := range suite(class) {
-				base, err := r.RunCtx(ctx, w, machine(width))
-				if err != nil {
-					return nil, err
+			for i, w := range ws {
+				if w.Class != class {
+					continue
 				}
-				er, err := r.RunCtx(ctx, w, machine(width).WithPolicy(core.PolicyER))
-				if err != nil {
-					return nil, err
-				}
-				pri, err := r.RunCtx(ctx, w, machine(width).WithPolicy(core.PolicyPRIRcLazy))
-				if err != nil {
-					return nil, err
-				}
-				priER, err := r.RunCtx(ctx, w, machine(width).WithPolicy(core.PolicyPRIPlusER))
-				if err != nil {
-					return nil, err
-				}
-				inf, err := r.RunCtx(ctx, w, machine(width).WithPolicy(core.PolicyInfinite))
-				if err != nil {
-					return nil, err
-				}
-				a.er += er.IPC / base.IPC
-				a.pri += pri.IPC / base.IPC
-				a.priER += priER.IPC / base.IPC
-				a.inf += inf.IPC / base.IPC
+				base := at(i, width, 0).IPC
+				a.er += at(i, width, 1).IPC / base
+				a.pri += at(i, width, 2).IPC / base
+				a.priER += at(i, width, 3).IPC / base
+				a.inf += at(i, width, 4).IPC / base
 				n++
 			}
 			f := float64(n)
@@ -106,20 +90,15 @@ func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
 
 	// Lifetime phases: phase 3 dominates at baseline; PRI+ER shrinks totals.
 	phase3Dominant, lifetimeShrinks := 0, 0
-	for _, w := range suite(workloads.Int) {
-		base, err := r.RunCtx(ctx, w, machine(4))
-		if err != nil {
-			return nil, err
+	for i, w := range ws {
+		if w.Class != workloads.Int {
+			continue
 		}
+		base, both := at(i, 4, 0), at(i, 4, 3)
 		if base.ReadToRelease >= base.AllocToWrite && base.ReadToRelease >= base.WriteToRead {
 			phase3Dominant++
 		}
-		both, err := r.RunCtx(ctx, w, machine(4).WithPolicy(core.PolicyPRIPlusER))
-		if err != nil {
-			return nil, err
-		}
-		if both.AllocToWrite+both.WriteToRead+both.ReadToRelease <
-			base.AllocToWrite+base.WriteToRead+base.ReadToRelease {
+		if lifetime(both) < lifetime(base) {
 			lifetimeShrinks++
 		}
 	}
@@ -130,21 +109,13 @@ func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
 
 	// Figure 9 monotonicity at the extremes.
 	monotone := 0
-	for _, w := range workloads.All() {
-		lo, err := r.RunCtx(ctx, w, machine(4).WithPRs(40))
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.RunCtx(ctx, w, machine(4).WithPRs(96))
-		if err != nil {
-			return nil, err
-		}
-		if hi.IPC >= lo.IPC {
+	for i := range ws {
+		if lo, hi := res[i][len(cfgs)-2], res[i][len(cfgs)-1]; hi.IPC >= lo.IPC {
 			monotone++
 		}
 	}
 	add("more registers never hurt (PR=96 vs PR=40)",
-		monotone == len(workloads.All()), fmt.Sprintf("%d/%d benchmarks", monotone, len(workloads.All())))
+		monotone == len(ws), fmt.Sprintf("%d/%d benchmarks", monotone, len(ws)))
 
 	return checks, nil
 }
@@ -154,47 +125,21 @@ func key(c workloads.Class, width int) string {
 }
 
 // WriteReport regenerates the full experiment suite and writes a
-// self-contained markdown report: every table plus the executable shape
-// checklist. It is the machine-written sibling of EXPERIMENTS.md.
+// self-contained markdown report: every table in Experiments plus the
+// executable shape checklist. It stops at the first experiment that fails.
+// It is the machine-written sibling of EXPERIMENTS.md.
 func (r *Runner) WriteReport(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "# prisim experiment report\n\n")
 	fmt.Fprintf(w, "Budget: %d fast-forward + %d measured instructions per point.\n\n",
 		r.Budget.FastForward, r.Budget.Run)
-
-	section := func(tables ...*stats.Table) {
+	for _, e := range Experiments {
+		tables, err := e.Run(r, ctx)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
 		for _, t := range tables {
 			fmt.Fprintf(w, "```\n%s```\n\n", t.String())
 		}
-	}
-	var firstErr error
-	get := func(t *stats.Table, err error) *stats.Table {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if t == nil {
-			t = &stats.Table{}
-		}
-		return t
-	}
-	section(Table1())
-	section(get(r.Table2(ctx)))
-	section(get(r.Fig1(ctx)))
-	a, b, err := r.Fig2(ctx)
-	if err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if a != nil && b != nil {
-		section(a, b)
-	}
-	section(get(r.Fig8(ctx)))
-	section(get(r.Fig9(ctx, 4)), get(r.Fig9(ctx, 8)))
-	section(get(r.Fig10(ctx, 4)), get(r.Fig10(ctx, 8)))
-	section(get(r.Fig11(ctx, 4)), get(r.Fig11(ctx, 8)))
-	section(get(r.Fig12(ctx, 4)), get(r.Fig12(ctx, 8)))
-	section(get(r.AblationRenameInline(ctx, 4)), get(r.AblationDisambiguation(ctx, 4)),
-		get(r.AblationDelayedAllocation(ctx, 4)), get(r.AblationMSHR(ctx, 4)))
-	if firstErr != nil {
-		return firstErr
 	}
 
 	fmt.Fprintf(w, "## Shape checklist\n\n")

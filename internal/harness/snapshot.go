@@ -59,12 +59,10 @@ func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Conf
 // captures the warm state. The slot is held only for the build; waiters in
 // warmFor hold no slot.
 func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
-	select {
-	case r.s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := r.acquire(ctx); err != nil {
+		return nil, err
 	}
-	defer func() { <-r.s.sem }()
+	defer r.release()
 
 	p := ooo.New(cfg, w.Build(0))
 	if err := runChunked(ctx, p.FastForward, r.Budget.FastForward); err != nil {

@@ -59,37 +59,37 @@ func TestSnapshotCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			r := NewParallelRunner(Budget{FastForward: 2000, Run: 4000}, workers)
-			ws := []string{"gzip", "mcf", "vortex"}
-			pols := []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER}
-
-			var pts []point
-			for _, name := range ws {
+			var ws []workloads.Workload
+			for _, name := range []string{"gzip", "mcf", "vortex"} {
 				w, ok := workloads.ByName(name)
 				if !ok {
 					t.Fatalf("workload %s missing", name)
 				}
-				for _, pol := range pols {
-					for _, width := range []int{4, 8} {
-						pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-					}
+				ws = append(ws, w)
+			}
+			var cfgs []ooo.Config
+			for _, pol := range []core.Policy{core.PolicyBase, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER} {
+				for _, width := range []int{4, 8} {
+					cfgs = append(cfgs, machine(width).WithPolicy(pol))
 				}
 			}
-			if err := r.warm(context.Background(), pts); err != nil {
+			if _, err := r.grid(context.Background(), ws, cfgs...); err != nil {
 				t.Fatal(err)
 			}
+			points := len(ws) * len(cfgs)
 
 			st := r.CacheStats()
 			if st.SnapshotBuilds != len(ws) {
 				t.Errorf("SnapshotBuilds = %d, want %d (one per workload)", st.SnapshotBuilds, len(ws))
 			}
-			if want := len(pts) - len(ws); st.SnapshotHits != want {
+			if want := points - len(ws); st.SnapshotHits != want {
 				t.Errorf("SnapshotHits = %d, want %d (points - workloads)", st.SnapshotHits, want)
 			}
 			if st.SnapshotBytes == 0 {
 				t.Error("SnapshotBytes = 0 with resident snapshots")
 			}
-			if st.Executed != len(pts) {
-				t.Errorf("Executed = %d, want %d", st.Executed, len(pts))
+			if st.Executed != points {
+				t.Errorf("Executed = %d, want %d", st.Executed, points)
 			}
 		})
 	}

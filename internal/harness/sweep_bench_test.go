@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prisim/internal/core"
+	"prisim/internal/ooo"
 	"prisim/internal/workloads"
 )
 
@@ -13,20 +14,18 @@ import (
 // which records the points/s floor this benchmark is gated against.
 const sweepRunPerPoint = 8000
 
-// sweepFig8MixPoints is the gate's fig8-shaped matrix: every integer
-// workload at 8 policy points (4 rename policies × both widths), so one
+// sweepFig8MixConfigs is the gate's fig8-shaped config axis: 4 rename
+// policies × both widths, run over every integer workload, so one
 // fast-forward snapshot per workload serves its 7 sibling points.
-func sweepFig8MixPoints() []point {
+func sweepFig8MixConfigs() []ooo.Config {
 	pols := []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt, core.PolicyPRIPlusER}
-	var pts []point
-	for _, w := range suite(workloads.Int) {
-		for _, width := range []int{4, 8} {
-			for _, pol := range pols {
-				pts = append(pts, point{w, machine(width).WithPolicy(pol)})
-			}
+	var cfgs []ooo.Config
+	for _, width := range []int{4, 8} {
+		for _, pol := range pols {
+			cfgs = append(cfgs, machine(width).WithPolicy(pol))
 		}
 	}
-	return pts
+	return cfgs
 }
 
 // BenchmarkSweepFig8Mix measures end-to-end sweep throughput — points per
@@ -39,17 +38,17 @@ func sweepFig8MixPoints() []point {
 // sweepgate, via cmd/benchgate).
 func BenchmarkSweepFig8Mix(b *testing.B) {
 	ctx := context.Background()
-	pts := sweepFig8MixPoints()
-	workloadCount := len(suite(workloads.Int))
+	ws, cfgs := suite(workloads.Int), sweepFig8MixConfigs()
+	points := len(ws) * len(cfgs)
 	for i := 0; i < b.N; i++ {
 		r := NewParallelRunner(Budget{FastForward: DefaultBudget.FastForward, Run: sweepRunPerPoint}, 0)
-		if err := r.warm(ctx, pts); err != nil {
+		if _, err := r.grid(ctx, ws, cfgs...); err != nil {
 			b.Fatal(err)
 		}
-		if cs := r.CacheStats(); cs.SnapshotHits != len(pts)-workloadCount {
+		if cs := r.CacheStats(); cs.SnapshotHits != points-len(ws) {
 			b.Fatalf("snapshot hits = %d, want points-workloads = %d",
-				cs.SnapshotHits, len(pts)-workloadCount)
+				cs.SnapshotHits, points-len(ws))
 		}
 	}
-	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }

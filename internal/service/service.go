@@ -18,6 +18,7 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -259,17 +260,8 @@ func (s *Server) Submit(req prisimclient.JobRequest) (*job, error) {
 		if !found {
 			return nil, fmt.Errorf("unknown benchmark %q", req.Benchmark)
 		}
-	} else if req.Kind == prisimclient.KindExperiment {
-		found := false
-		for _, name := range prisim.ExperimentNames() {
-			if name == req.Experiment {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
-		}
+	} else if req.Kind == prisimclient.KindExperiment && !slices.Contains(prisim.ExperimentNames(), req.Experiment) {
+		return nil, fmt.Errorf("unknown experiment %q", req.Experiment)
 	}
 
 	// Content-address the point: make its budget explicit (request, then
