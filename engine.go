@@ -364,13 +364,14 @@ type CacheStats struct {
 	Hits      int // requests answered instantly from a completed cache entry
 	Coalesced int // requests served by waiting on another caller's in-flight run
 
-	// Fast-forward snapshot cache counters: each workload's functional
-	// fast-forward executes once per budget and machine memory/predictor
-	// configuration, and every later run for it starts from a copy-on-write
-	// clone of the warm state.
-	SnapshotBuilds int    // functional fast-forwards executed to fill the snapshot cache
-	SnapshotHits   int    // runs that took a completed or in-flight build's warm state
-	SnapshotBytes  uint64 // resident bytes of cached warm states
+	// Fast-forward snapshot cache counters: each workload's warm state is
+	// built once per budget and machine memory/predictor configuration,
+	// starting from its nearest earlier budget's snapshot when one exists,
+	// and every later run for it starts from a copy-on-write clone.
+	SnapshotBuilds         int    // warm states built to fill the snapshot cache
+	SnapshotHits           int    // runs that took a completed or in-flight build's warm state
+	SnapshotBytes          uint64 // resident bytes of cached warm states
+	SnapshotFFInstructions uint64 // instructions executed to build snapshots
 }
 
 // CacheStats reports how the Engine's singleflight run cache has been used
@@ -379,12 +380,13 @@ type CacheStats struct {
 func (e *Engine) CacheStats() CacheStats {
 	cs := e.runner.CacheStats()
 	return CacheStats{
-		Executed:       cs.Executed,
-		Hits:           cs.Hits,
-		Coalesced:      cs.Coalesced,
-		SnapshotBuilds: cs.SnapshotBuilds,
-		SnapshotHits:   cs.SnapshotHits,
-		SnapshotBytes:  cs.SnapshotBytes,
+		Executed:               cs.Executed,
+		Hits:                   cs.Hits,
+		Coalesced:              cs.Coalesced,
+		SnapshotBuilds:         cs.SnapshotBuilds,
+		SnapshotHits:           cs.SnapshotHits,
+		SnapshotBytes:          cs.SnapshotBytes,
+		SnapshotFFInstructions: cs.SnapshotFFInstructions,
 	}
 }
 

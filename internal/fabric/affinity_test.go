@@ -45,11 +45,15 @@ func TestWorkloadAffinityStickiness(t *testing.T) {
 	if w := c.pickWorkerLocked(pointFor("mcf")); w == first {
 		t.Errorf("mcf landed on gzip's affinity node %s with idle nodes available", first.id)
 	}
-	// A different fast-forward budget is a different snapshot, so it carries
-	// no affinity with the base workload's node.
-	other := &flight{Point: Point{Request: prisimclient.JobRequest{Benchmark: "gzip", FastForward: 5000, Run: 1000}}}
-	if k := affinityKey(other.Request); k == affinityKey(pointFor("gzip").Request) {
-		t.Errorf("distinct fast-forward budgets share affinity key %q", k)
+	// A different fast-forward budget of the same workload keeps its
+	// affinity: the node's earlier snapshot is a base the new one chains
+	// from, fast-forwarding only the gap.
+	other := &flight{Point: Point{Request: prisimclient.JobRequest{Benchmark: "gzip", FastForward: 40_000, Run: 1000}}}
+	if k, base := affinityKey(other.Request), affinityKey(pointFor("gzip").Request); k != base {
+		t.Errorf("fast-forward budgets of one workload have distinct affinity keys %q and %q", k, base)
+	}
+	if w := c.pickWorkerLocked(other); w != first {
+		t.Errorf("gzip at a later fast-forward budget landed on %s, want affinity node %s", w.id, first.id)
 	}
 }
 

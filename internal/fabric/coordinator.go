@@ -158,7 +158,7 @@ type Coordinator struct {
 	workerOrder   []string
 	nextWorkerID  uint64
 	rr            int               // round-robin start for worker picking
-	affinity      map[string]string // guarded by mu; workload affinity: snapshot key -> last worker id
+	affinity      map[string]string // guarded by mu; workload affinity: benchmark -> last worker id
 	flights       map[string]*flight
 	pending       []*flight
 	matrices      map[string]*matrixRun

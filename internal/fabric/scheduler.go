@@ -93,11 +93,12 @@ func (c *Coordinator) pickableWorkerLocked(f *flight) bool {
 	return c.pickWorkerAtLocked(f, false) != nil
 }
 
-// affinityKey identifies the fast-forward snapshot a point's run clones on
-// a worker: benchmark plus fast-forward budget (the axes a worker engine
-// keys its warm-state cache by that matrices commonly vary).
+// affinityKey identifies the workload whose warm fast-forward snapshots a
+// point's run can use on a worker. It is the benchmark alone: a worker
+// engine holding any earlier fast-forward budget of the workload builds
+// this point's snapshot by fast-forwarding only the gap.
 func affinityKey(req prisimclient.JobRequest) string {
-	return fmt.Sprintf("%s|ff=%d", req.Benchmark, req.FastForward)
+	return req.Benchmark
 }
 
 // pickWorkerLocked selects a worker for f, preferring (a) the worker that

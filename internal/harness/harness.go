@@ -23,6 +23,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"prisim/internal/asm"
 	"prisim/internal/core"
@@ -103,9 +104,10 @@ type runKey struct {
 // worker pool and both singleflight caches. Views created with WithBudget
 // or ProgressView alias it, so deduplication spans all of them.
 type shared struct {
-	sem   chan struct{}                  // bounded worker pool
-	runs  *memo[runKey, *Result]         // timing results, unbounded
-	snaps *memo[snapKey, *ooo.WarmState] // fast-forward snapshots (see snapshot.go)
+	sem      chan struct{}                  // bounded worker pool
+	runs     *memo[runKey, *Result]         // timing results, unbounded
+	snaps    *memo[snapKey, *ooo.WarmState] // fast-forward snapshots (see snapshot.go)
+	ffInstrs atomic.Uint64                  // instructions fast-forwarded by snapshot builds
 }
 
 // CacheStats is a snapshot of the Runner's memoization counters, spanning
@@ -116,9 +118,10 @@ type CacheStats struct {
 	Coalesced int // requests served by waiting on another caller's in-flight run
 
 	// Fast-forward snapshot cache counters (see snapshot.go).
-	SnapshotBuilds int    // fast-forwards executed to fill the snapshot cache
-	SnapshotHits   int    // runs that took a completed or in-flight build's warm state
-	SnapshotBytes  uint64 // resident bytes of cached warm states
+	SnapshotBuilds         int    // snapshots built, each from instruction 0 or chained from an earlier one
+	SnapshotHits           int    // runs that took a completed or in-flight build's warm state
+	SnapshotBytes          uint64 // resident bytes of cached warm states
+	SnapshotFFInstructions uint64 // instructions executed to build snapshots
 }
 
 // viewState is the per-view progress accounting behind ProgressView: done
@@ -194,12 +197,13 @@ func (r *Runner) ProgressView(fn func(done, total int)) *Runner {
 func (r *Runner) CacheStats() CacheStats {
 	runs, snaps := r.s.runs.stats(), r.s.snaps.stats()
 	return CacheStats{
-		Executed:       runs.runs,
-		Hits:           runs.hits,
-		Coalesced:      runs.joins,
-		SnapshotBuilds: snaps.runs,
-		SnapshotHits:   snaps.hits + snaps.joins,
-		SnapshotBytes:  snaps.bytes,
+		Executed:               runs.runs,
+		Hits:                   runs.hits,
+		Coalesced:              runs.joins,
+		SnapshotBuilds:         snaps.runs,
+		SnapshotHits:           snaps.hits + snaps.joins,
+		SnapshotBytes:          snaps.bytes,
+		SnapshotFFInstructions: r.s.ffInstrs.Load(),
 	}
 }
 

@@ -119,6 +119,43 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error), pendin
 	}
 }
 
+// nearest returns the value of the completed or in-flight slot whose key
+// scores highest under score, waiting (holding nothing) if that slot is
+// still in flight; keys scoring 0 are never chosen, and ok is false when no
+// key scores above 0. No two keys may share a positive score, and score
+// runs under the memo's lock, so it must not call back into the memo. A
+// flight that fails evicts itself before waking its waiters, so
+// the scan then repeats and settles on the next-best key. The lookup counts
+// as neither a hit nor a join, but marks the chosen slot recently used.
+func (m *memo[K, V]) nearest(ctx context.Context, score func(K) uint64) (val V, ok bool, err error) {
+	for {
+		m.mu.Lock()
+		var best *slot[V]
+		var bestScore uint64
+		//lint:ignore determinism the maximum of distinct scores is unique, so the choice is order-independent
+		for k, s := range m.slots {
+			if sc := score(k); sc > bestScore {
+				best, bestScore = s, sc
+			}
+		}
+		if best == nil {
+			m.mu.Unlock()
+			return val, false, nil
+		}
+		m.touch(best)
+		m.mu.Unlock()
+		select {
+		case <-best.done:
+			if best.err != nil {
+				continue // the flight failed and is gone; rescan
+			}
+			return best.val, true, nil
+		case <-ctx.Done():
+			return val, false, ctx.Err()
+		}
+	}
+}
+
 // touch stamps s as most recently used.
 //
 //prisim:locked

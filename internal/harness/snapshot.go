@@ -23,6 +23,15 @@ import (
 // caller builds while concurrent callers for the same key wait, and the
 // build holds a worker-pool slot only while it runs (waiters hold nothing,
 // so waiting cannot deadlock the pool).
+//
+// Snapshots of one workload at several budgets chain: a build starts from
+// the cached or in-flight snapshot with the same workload, memory and
+// predictor configs and the largest smaller budget, and fast-forwards only
+// the gap, so sampling one workload at many offsets costs as much
+// fast-forward as its largest offset. A chained build equals a build from
+// instruction 0 because a clone equals the replay it was captured from,
+// FastForward touches only the machine, predictor and caches a WarmState
+// captures, and a halted machine fast-forwards as a no-op.
 
 // maxSnapshots bounds resident warm states; least-recently-used completed
 // entries are evicted beyond it. An evicted snapshot still referenced by
@@ -51,21 +60,44 @@ func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Conf
 	if r.Budget.FastForward == 0 {
 		return nil, nil
 	}
-	return r.s.snaps.do(ctx, r.snapshotKey(w, cfg),
-		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg) }, nil)
+	key := r.snapshotKey(w, cfg)
+	return r.s.snaps.do(ctx, key,
+		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg, key) }, nil)
 }
 
-// buildSnapshot fast-forwards one workload inside a worker-pool slot and
-// captures the warm state. The slot is held only for the build; waiters in
-// warmFor hold no slot.
-func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
+// buildSnapshot fast-forwards one workload to key.ff inside a worker-pool
+// slot and captures the warm state, starting from the nearest earlier
+// snapshot of the same workload when one exists. It waits for that base
+// before taking a slot: the base's owner may itself be queued for one, and
+// on a 1-worker pool waiting while holding the slot would deadlock.
+func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config, key snapKey) (*ooo.WarmState, error) {
+	base, chained, err := r.s.snaps.nearest(ctx, func(k snapKey) uint64 {
+		if k.bench != key.bench || k.mem != key.mem || k.bp != key.bp || k.ff >= key.ff {
+			return 0
+		}
+		return k.ff
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	if err := r.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer r.release()
 
-	p := ooo.New(cfg, w.Build(0))
-	if err := runChunked(ctx, p.FastForward, r.Budget.FastForward); err != nil {
+	var p *ooo.Pipeline
+	if chained {
+		p = ooo.NewFromWarm(cfg, base)
+	} else {
+		p = ooo.New(cfg, w.Build(0))
+	}
+	// A base that halted early has executed fewer instructions than its
+	// budget; the rest of the gap is then a no-op on the halted machine.
+	start := p.Machine().Seq()
+	err = runChunked(ctx, p.FastForward, key.ff-start)
+	r.s.ffInstrs.Add(p.Machine().Seq() - start)
+	if err != nil {
 		return nil, err
 	}
 	return p.CaptureWarm(), nil

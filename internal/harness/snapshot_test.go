@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
 	"prisim/internal/core"
 	"prisim/internal/ooo"
@@ -159,5 +161,243 @@ func TestSnapshotGoldenFig8(t *testing.T) {
 	}
 	if st := r.CacheStats(); st.SnapshotHits == 0 {
 		t.Errorf("golden fig8 sweep recorded no snapshot hits: %+v", st)
+	}
+}
+
+// chainCost is the fast-forward work chained snapshot builds do when one
+// workload's offsets are requested one after another: each offset costs its
+// gap to the largest smaller offset requested before it, or the whole
+// offset when there is none.
+func chainCost(order []uint64) uint64 {
+	var sum uint64
+	for i, ff := range order {
+		var base uint64
+		for _, prev := range order[:i] {
+			if prev < ff && prev > base {
+				base = prev
+			}
+		}
+		sum += ff - base
+	}
+	return sum
+}
+
+// waitUntil polls cond until it holds, failing the test with what after a
+// generous deadline.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// snapSlot reports whether key has a slot in r's snapshot cache and
+// whether a chained build has looked it up as its base (nearest marks the
+// chosen slot used; an in-flight slot is otherwise unstamped).
+func snapSlot(r *Runner, key snapKey) (present, used bool) {
+	r.s.snaps.mu.Lock()
+	defer r.s.snaps.mu.Unlock()
+	s, ok := r.s.snaps.slots[key]
+	return ok, ok && s.lastUse != 0
+}
+
+// TestSnapshotChainOrders asks one Runner for eight fast-forward offsets of
+// one workload in ascending, descending and shuffled order, serially and
+// all at once, on 1 and 4 workers. Whatever chain each build takes, every
+// Result must be byte-identical to a cold Runner's at that offset alone,
+// and each offset must still build exactly one snapshot.
+func TestSnapshotChainOrders(t *testing.T) {
+	w, _ := workloads.ByName("gzip")
+	const run = 2000
+	cfgs := []ooo.Config{machine(4), machine(4).WithPolicy(core.PolicyPRIRcCkpt)}
+	asc := make([]uint64, 8)
+	for i := range asc {
+		asc[i] = uint64(i+1) * 1000
+	}
+	desc := make([]uint64, len(asc))
+	for i, ff := range asc {
+		desc[len(asc)-1-i] = ff
+	}
+	shuffled := make([]uint64, len(asc))
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(asc)) {
+		shuffled[i] = asc[k]
+	}
+
+	want := make(map[uint64][]string)
+	for _, ff := range asc {
+		cold := NewParallelRunner(Budget{FastForward: ff, Run: run}, 1)
+		for _, cfg := range cfgs {
+			want[ff] = append(want[ff], resultFingerprint(cold.Run(w, cfg)))
+		}
+	}
+
+	for _, order := range []struct {
+		name string
+		ffs  []uint64
+	}{{"ascending", asc}, {"descending", desc}, {"shuffled", shuffled}} {
+		for _, workers := range []int{1, 4} {
+			for _, concurrent := range []bool{false, true} {
+				mode := "serial"
+				if concurrent {
+					mode = "concurrent"
+				}
+				t.Run(fmt.Sprintf("%s/workers%d/%s", order.name, workers, mode), func(t *testing.T) {
+					// A deadlocked pool fails the requests at the deadline
+					// instead of hanging the test binary.
+					ctx, cancel := context.WithTimeout(bg, time.Minute)
+					defer cancel()
+					r := NewParallelRunner(Budget{FastForward: order.ffs[0], Run: run}, workers)
+					got := make([][]*Result, len(order.ffs))
+					request := func(i int) error {
+						res, err := r.WithBudget(Budget{FastForward: order.ffs[i]}).grid(ctx, []workloads.Workload{w}, cfgs...)
+						if err == nil {
+							got[i] = res[0]
+						}
+						return err
+					}
+					var err error
+					if concurrent {
+						err = fanOut(len(order.ffs), request)
+					} else {
+						for i := range order.ffs {
+							if err = request(i); err != nil {
+								break
+							}
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ff := range order.ffs {
+						for j, cfg := range cfgs {
+							if g := resultFingerprint(got[i][j]); g != want[ff][j] {
+								t.Errorf("ff=%d %s: chained Result differs from a cold Runner's:\ncold:    %s\nchained: %s",
+									ff, cfg.Rename.Policy.Name(), want[ff][j], g)
+							}
+						}
+					}
+					st := r.CacheStats()
+					if st.SnapshotBuilds != len(asc) {
+						t.Errorf("SnapshotBuilds = %d, want %d (one per offset)", st.SnapshotBuilds, len(asc))
+					}
+					if !concurrent && st.SnapshotFFInstructions != chainCost(order.ffs) {
+						t.Errorf("SnapshotFFInstructions = %d, want %d", st.SnapshotFFInstructions, chainCost(order.ffs))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSnapshotFFInstructions pins the fast-forward work counter: ascending
+// offsets 1k, 2k, 3k chain, so they execute 3k instructions, not 6k; a
+// repeated offset is a snapshot hit and executes nothing.
+func TestSnapshotFFInstructions(t *testing.T) {
+	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 2)
+	w, _ := workloads.ByName("gzip")
+	for _, ff := range []uint64{1000, 2000, 3000, 2000} {
+		r.WithBudget(Budget{FastForward: ff}).Run(w, machine(4))
+	}
+	st := r.CacheStats()
+	if st.SnapshotFFInstructions != 3000 {
+		t.Errorf("SnapshotFFInstructions = %d, want 3000", st.SnapshotFFInstructions)
+	}
+	if st.SnapshotBuilds != 3 || st.SnapshotHits != 0 {
+		t.Errorf("SnapshotBuilds, SnapshotHits = %d, %d, want 3, 0", st.SnapshotBuilds, st.SnapshotHits)
+	}
+}
+
+// TestSnapshotChainWaitsWithoutSlot is the 1-worker deadlock guard: a build
+// whose base is still queued for the only pool slot must wait for it while
+// holding no slot. Waiting while holding the slot would leave the base's
+// owner queued forever.
+func TestSnapshotChainWaitsWithoutSlot(t *testing.T) {
+	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 1)
+	w, _ := workloads.ByName("gzip")
+	cfg := machine(4)
+	later := r.WithBudget(Budget{FastForward: 2000})
+
+	// Hold the only slot so the 1000 build's owner queues for it.
+	if err := r.acquire(bg); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { _, err := r.RunCtx(bg, w, cfg); errs <- err }()
+	base := r.snapshotKey(w, cfg)
+	waitUntil(t, "the 1000 build is in flight", func() bool { ok, _ := snapSlot(r, base); return ok })
+	go func() { _, err := later.RunCtx(bg, w, cfg); errs <- err }()
+	waitUntil(t, "the 2000 build waits on the queued 1000 build before taking a slot",
+		func() bool { _, used := snapSlot(r, base); return used })
+	r.release()
+
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("chained build deadlocked the 1-worker pool")
+		}
+	}
+	if st := r.CacheStats(); st.SnapshotFFInstructions != 2000 {
+		t.Errorf("SnapshotFFInstructions = %d, want 2000 (the 2000 build chained from 1000)", st.SnapshotFFInstructions)
+	}
+}
+
+// TestSnapshotChainBaseCancelled cancels the owner of a chained build's
+// in-flight base: the chained build must not fail with it, but rescan and
+// complete from the next-nearest base, with a Result identical to a cold
+// Runner's.
+func TestSnapshotChainBaseCancelled(t *testing.T) {
+	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 1)
+	w, _ := workloads.ByName("gzip")
+	cfg := machine(4)
+	mid, top := r.WithBudget(Budget{FastForward: 2000}), r.WithBudget(Budget{FastForward: 3000})
+	r.Run(w, cfg) // a completed snapshot at 1000: the fallback base
+
+	if err := r.acquire(bg); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	midErr := make(chan error, 1)
+	go func() { _, err := mid.RunCtx(ctx, w, cfg); midErr <- err }()
+	midKey := mid.snapshotKey(w, cfg)
+	waitUntil(t, "the 2000 build is in flight", func() bool { ok, _ := snapSlot(r, midKey); return ok })
+	topRes := make(chan *Result, 1)
+	topErr := make(chan error, 1)
+	go func() {
+		res, err := top.RunCtx(bg, w, cfg)
+		topRes <- res
+		topErr <- err
+	}()
+	waitUntil(t, "the 3000 build waits on the 2000 build",
+		func() bool { _, used := snapSlot(r, midKey); return used })
+	cancel()
+	if err := <-midErr; err != context.Canceled {
+		t.Fatalf("cancelled base error = %v, want context.Canceled", err)
+	}
+	r.release()
+
+	select {
+	case err := <-topErr:
+		if err != nil {
+			t.Fatalf("chained build failed with its cancelled base: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("chained build never completed after its base was cancelled")
+	}
+	cold := NewParallelRunner(Budget{FastForward: 3000, Run: 1000}, 1).Run(w, cfg)
+	if got, want := resultFingerprint(<-topRes), resultFingerprint(cold); got != want {
+		t.Errorf("chained Result differs from a cold Runner's:\ncold:    %s\nchained: %s", want, got)
+	}
+	st := r.CacheStats()
+	if st.SnapshotBuilds != 2 || st.SnapshotFFInstructions != 3000 {
+		t.Errorf("SnapshotBuilds, SnapshotFFInstructions = %d, %d, want 2, 3000 (3000 chained from 1000)",
+			st.SnapshotBuilds, st.SnapshotFFInstructions)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"prisim/internal/core"
@@ -51,4 +52,37 @@ func BenchmarkSweepFig8Mix(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// BenchmarkSampledSnapshots measures sampled-simulation throughput — points
+// per wall-clock second — on one workload skipped to 8 fast-forward offsets
+// 60k apart, each measured for a 4k window under base and PRI-rc-ckpt at
+// 4-wide. The offsets are requested in a fixed shuffled order, one offset's
+// points at a time, on a fresh Runner per iteration. It fails when snapshot
+// builds fast-forward more than chaining allows: each offset's gap to the
+// nearest smaller offset requested before it.
+func BenchmarkSampledSnapshots(b *testing.B) {
+	const offsets, stride, window = 8, 60_000, 4_000
+	ctx := context.Background()
+	w, _ := workloads.ByName("gzip")
+	ws := []workloads.Workload{w}
+	cfgs := []ooo.Config{machine(4), machine(4).WithPolicy(core.PolicyPRIRcCkpt)}
+	order := make([]uint64, offsets)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(offsets) {
+		order[i] = uint64(k+1) * stride
+	}
+	bound := chainCost(order)
+	for i := 0; i < b.N; i++ {
+		r := NewParallelRunner(Budget{FastForward: order[0], Run: window}, 0)
+		for _, ff := range order {
+			if _, err := r.WithBudget(Budget{FastForward: ff}).grid(ctx, ws, cfgs...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if cs := r.CacheStats(); cs.SnapshotFFInstructions > bound {
+			b.Fatalf("snapshot builds fast-forwarded %d instructions, want at most %d (the chained gaps)",
+				cs.SnapshotFFInstructions, bound)
+		}
+	}
+	b.ReportMetric(float64(offsets*len(cfgs)*b.N)/b.Elapsed().Seconds(), "points/s")
 }

@@ -6,9 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"prisim/internal/asm"
 	"prisim/internal/core"
+	"prisim/internal/emu"
 	"prisim/internal/fuzzprog"
 	"prisim/internal/isa"
+	"prisim/internal/memsys"
+	"prisim/internal/workloads"
 )
 
 // warmFingerprint extends the timing fingerprint with architected state so a
@@ -73,6 +77,102 @@ func TestWarmCloneEqualsReplay(t *testing.T) {
 	}
 	if !sawCOW {
 		t.Error("no run privatized any COW page; the squash/rollback path never wrote memory through the barrier")
+	}
+}
+
+// chainFingerprint extends warmFingerprint with the raw cache and predictor
+// counters, which a fast-forward advances alongside the machine.
+func chainFingerprint(p *Pipeline) string {
+	s := warmFingerprint(p)
+	h := p.Mem()
+	for _, c := range []*memsys.Cache{h.IL1, h.DL1, h.L2} {
+		s += fmt.Sprintf(" %s=%d/%d/%d", c.Config().Name, c.Accesses, c.Misses, c.Writebacks)
+	}
+	bp := p.bp
+	return s + fmt.Sprintf(" mshrwait=%d prefetch=%d bp=%d/%d/%d/%d/%d/%d/%d", h.MSHRWaits, h.Prefetches,
+		bp.Lookups, bp.DirMiss, bp.TargetMiss, bp.RASPops, bp.RASMiss, bp.BTBHits, bp.BTBMisses)
+}
+
+// chainWarm captures the warm state at b the way a chained snapshot build
+// does: fast-forward a, capture, clone, fast-forward the remaining b-a,
+// capture again.
+func chainWarm(cfg Config, prog *asm.Program, a, b uint64) *WarmState {
+	p := New(cfg, prog)
+	p.FastForward(a)
+	q := NewFromWarm(cfg, p.CaptureWarm())
+	q.FastForward(b - a)
+	return q.CaptureWarm()
+}
+
+// TestWarmChainEqualsDirect is the chaining contract behind the harness's
+// snapshot builds: a warm state at budget b built from a clone of the warm
+// state at a < b, fast-forwarding only the gap, must run exactly like a
+// pipeline that fast-forwards b from instruction 0. It covers every policy
+// family at both widths on a squash-heavy fuzz program and two workloads,
+// and programs that halt before a or between a and b.
+func TestWarmChainEqualsDirect(t *testing.T) {
+	type subject struct {
+		name string
+		prog *asm.Program
+		a, b uint64
+		run  uint64
+	}
+	fuzz := fuzzprog.Generate(fuzzprog.Config{Seed: 42, OuterTrips: 8, BodyLen: 40})
+	ref := emu.New(fuzz)
+	halt := ref.Run(0) // instructions up to and including HALT
+	subjects := []subject{{name: "fuzzprog", prog: fuzz, a: halt / 4, b: halt / 2, run: 1_000_000}}
+	for _, name := range []string{"gzip", "mcf"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		subjects = append(subjects, subject{name: name, prog: w.Build(0), a: 1500, b: 4000, run: 3000})
+	}
+
+	policies := append([]core.Policy{core.PolicyBase}, core.AllPolicies...)
+	for _, sub := range subjects {
+		for _, width := range []int{4, 8} {
+			for _, pol := range policies {
+				cfg := smallCfg(width).WithPolicy(pol)
+
+				direct := New(cfg, sub.prog)
+				if got := direct.FastForward(sub.b); got != sub.b {
+					t.Fatalf("%s: fast-forward ran %d instructions, want %d (program too short)", sub.name, got, sub.b)
+				}
+				direct.Run(sub.run)
+
+				chained := NewFromWarm(cfg, chainWarm(cfg, sub.prog, sub.a, sub.b))
+				chained.Run(sub.run)
+
+				if a, b := chainFingerprint(direct), chainFingerprint(chained); a != b {
+					t.Errorf("%s/w%d/%s: chained warm state diverged from a direct fast-forward:\ndirect:  %s\nchained: %s",
+						sub.name, width, pol.Name(), a, b)
+				}
+				chained.Renamer().CheckInvariants()
+			}
+		}
+	}
+
+	// A halted machine fast-forwards as a no-op, so a chain through or past
+	// the halt point lands on the same state as a direct fast-forward.
+	for _, c := range []struct {
+		name string
+		a, b uint64
+	}{
+		{"halt-before-a", halt + 100, halt + 500},
+		{"halt-between", halt / 2, halt + 500},
+	} {
+		direct := New(Width4(), fuzz)
+		direct.FastForward(c.b)
+		want := direct.CaptureWarm()
+		got := chainWarm(Width4(), fuzz, c.a, c.b)
+		if got.Instructions() != want.Instructions() || got.Instructions() != halt {
+			t.Errorf("%s: chained Instructions() = %d, direct = %d, want the halt point %d",
+				c.name, got.Instructions(), want.Instructions(), halt)
+		}
+		if a, b := chainFingerprint(NewFromWarm(Width4(), want)), chainFingerprint(NewFromWarm(Width4(), got)); a != b {
+			t.Errorf("%s: chained warm state diverged from a direct fast-forward:\ndirect:  %s\nchained: %s", c.name, a, b)
+		}
 	}
 }
 

@@ -167,7 +167,8 @@ func (m *metrics) render(sb *strings.Builder, cache prisim.CacheStats, queueDept
 	}
 	gaugeF("prisimd_cache_hit_ratio", "Fraction of simulation requests served without a fresh run.", ratio)
 
-	counter("prisimd_snapshot_builds_total", "Fast-forwards executed to fill the warm-state snapshot cache.", uint64(cache.SnapshotBuilds))
+	counter("prisimd_snapshot_builds_total", "Warm states built to fill the snapshot cache, each from instruction 0 or from an earlier snapshot of the same workload.", uint64(cache.SnapshotBuilds))
+	counter("prisimd_snapshot_ff_instructions_total", "Instructions fast-forwarded to build warm-state snapshots.", cache.SnapshotFFInstructions)
 	counter("prisimd_snapshot_hits_total", "Simulations constructed from a cached warm state instead of replaying the fast-forward.", uint64(cache.SnapshotHits))
 	gaugeF("prisimd_snapshot_resident_bytes", "Resident bytes of cached warm fast-forward states.", float64(cache.SnapshotBytes))
 

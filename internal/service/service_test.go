@@ -510,6 +510,7 @@ func TestMetricsPage(t *testing.T) {
 		"prisimd_cache_runs_executed_total 1",
 		"prisimd_snapshot_builds_total 1",
 		"prisimd_snapshot_hits_total 0",
+		"prisimd_snapshot_ff_instructions_total 100",
 		"prisimd_snapshot_resident_bytes",
 		"prisimd_sim_committed_instructions_total",
 		`prisimd_job_latency_seconds{quantile="0.5"}`,
