@@ -171,7 +171,8 @@ func toResult(hr *harness.Result, cfg ooo.Config) Result {
 // Simulate runs one benchmark at one machine point and returns the result.
 // Identical concurrent calls share a single simulation; repeated calls hit
 // the Engine's cache. The run aborts with ctx's error if the context is
-// cancelled. Runs with PipeView or MachineJSON set bypass the cache.
+// cancelled. Runs with PipeView or MachineJSON set bypass the cache. A
+// fast-forward that reaches the benchmark's halt fails with ErrHalted.
 func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	w, cfg, err := resolveOptions(o)
 	if err != nil {
@@ -196,6 +197,12 @@ func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 // ErrMemLimit matches (via errors.Is) the failure of a SimulateProgram run
 // whose simulated machine footprint exceeded Options.MemLimit.
 var ErrMemLimit = harness.ErrMemLimit
+
+// ErrHalted matches (via errors.Is) the failure of a Simulate or
+// SimulateProgram run whose measured window committed nothing because the
+// program halted during the fast-forward: Options.FastForward reached or
+// passed the program's last instruction.
+var ErrHalted = harness.ErrHalted
 
 // Program is an assembled PRISC-64 program runnable by SimulateProgram.
 type Program struct {
@@ -249,8 +256,9 @@ type ProgramResult struct {
 
 // SimulateProgram runs an assembled program through the timing pipeline.
 // Unlike Simulate, the budget in o is taken verbatim: FastForward 0 skips
-// nothing and Run 0 runs until the program halts. o.Benchmark must be
-// empty; the run is never cached.
+// nothing and Run 0 runs until the program halts; a fast-forward that
+// reaches the halt fails with ErrHalted. o.Benchmark must be empty; the run
+// is never cached.
 func (e *Engine) SimulateProgram(ctx context.Context, p *Program, o Options) (ProgramResult, error) {
 	if o.Benchmark != "" {
 		return ProgramResult{}, fmt.Errorf("prisim: %w: Benchmark must be empty when simulating an assembled program", ErrInvalidOptions)

@@ -277,3 +277,37 @@ func TestMachineJSONRoundTrip(t *testing.T) {
 		t.Errorf("IntPRs = %d, want 48", res.IntPRs)
 	}
 }
+
+// TestSimulatePastHalt pins the failure of a fast-forward that reaches the
+// program's halt: the run fails with ErrHalted instead of panicking on the
+// pipeline's watchdog, and a budget that stops one instruction short still
+// measures the HALT itself.
+func TestSimulatePastHalt(t *testing.T) {
+	ctx := context.Background()
+	eng := fastEngine()
+	// facerec halts after about 528k instructions.
+	_, err := eng.Simulate(ctx, Options{Benchmark: "facerec", FastForward: 600_000, Run: 1000})
+	if !errors.Is(err, ErrHalted) {
+		t.Fatalf("facerec past its halt: err = %v, want ErrHalted", err)
+	}
+	if !strings.Contains(err.Error(), "facerec") {
+		t.Errorf("error %q does not name the benchmark", err)
+	}
+
+	p, err := Assemble(".text\nmain:\n  li r1, 72\n  putc r1\n  halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := eng.SimulateProgram(ctx, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.Committed
+	if _, err := eng.SimulateProgram(ctx, p, Options{FastForward: n}); !errors.Is(err, ErrHalted) {
+		t.Errorf("program fast-forward %d (its length): err = %v, want ErrHalted", n, err)
+	}
+	res, err := eng.SimulateProgram(ctx, p, Options{FastForward: n - 1})
+	if err != nil || res.Committed != 1 {
+		t.Errorf("program fast-forward %d: committed %d, err %v; want the HALT alone", n-1, res.Committed, err)
+	}
+}

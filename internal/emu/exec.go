@@ -14,16 +14,21 @@ func (m *Machine) Step() StepInfo {
 	return info
 }
 
-// StepInto executes one instruction, writing what happened into *info (the
-// timing model passes the dynamic instruction's own slot, avoiding a
-// round-trip copy of the report on every fetch). The static instruction is
-// taken from the decoded-uop cache, not re-decoded.
+// StepInto executes one instruction, writing what happened into *info, and
+// returns the decoded uop it executed (nil on a halted no-op step). The
+// timing model passes one reused report, or the dynamic instruction's own
+// slot, so no report is built in a temporary and copied out. Every field of
+// *info is written, so a slot needs no clearing between steps. The static
+// instruction is taken from the decoded-uop cache, not re-decoded: the
+// returned pointer names the cache entry, or the machine's scratch slot for
+// a PC outside the text segment, which the next step overwrites. Callers
+// that keep the uop past the next step must copy it.
 //
 //prisim:hotpath
-func (m *Machine) StepInto(info *StepInfo) {
+func (m *Machine) StepInto(info *StepInfo) *isa.Uop {
 	if m.halted {
 		*info = StepInfo{Seq: m.seq, PC: m.PC, NextPC: m.PC, Halted: true}
-		return
+		return nil
 	}
 	pc := m.PC
 	u := m.UopAt(pc)
@@ -37,7 +42,10 @@ func (m *Machine) StepInto(info *StepInfo) {
 		})
 	}
 	m.seq++
-	*info = StepInfo{Seq: m.seq, PC: pc, Inst: in, Uop: u}
+	info.Seq, info.PC, info.Inst = m.seq, pc, in
+	info.Taken, info.Halted = false, false
+	info.IsMem, info.MemAddr, info.MemSize = false, 0, 0
+	info.HasResult, info.Result = false, 0
 	next := pc + 4
 
 	ra, rb := m.regs[in.Ra], m.regs[in.Rb]
@@ -240,6 +248,7 @@ func (m *Machine) StepInto(info *StepInfo) {
 
 	m.PC = next
 	info.NextPC = next
+	return u
 }
 
 func b2u(b bool) uint64 {

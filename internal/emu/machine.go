@@ -9,18 +9,14 @@ import (
 )
 
 // StepInfo reports everything the timing model needs to know about one
-// functionally executed instruction.
+// functionally executed instruction. It holds no pointers, so a report
+// stored in a long-lived slot costs the garbage collector nothing; the
+// decoded uop comes back separately as StepInto's return value.
 type StepInfo struct {
 	Seq    uint64 // 1-based dynamic instruction number
 	PC     uint64
 	NextPC uint64
 	Inst   isa.Inst
-
-	// Uop points at the decoded-uop cache entry for the executed static
-	// instruction (or the machine's scratch slot for a PC outside the text
-	// segment, valid only until the next such step). Consumers that keep it
-	// must copy the Uop, not the pointer. Nil on a halted no-op step.
-	Uop *isa.Uop
 
 	Taken bool // branches and jumps: control transferred
 
@@ -335,9 +331,6 @@ func (m *Machine) writeMem(addr uint64, size uint8, v uint64) {
 func (m *Machine) PeekInst() isa.Inst {
 	return m.UopAt(m.PC).Inst
 }
-
-// PeekUop returns the decoded uop at the current PC without executing it.
-func (m *Machine) PeekUop() *isa.Uop { return m.UopAt(m.PC) }
 
 // Run executes until HALT or until limit instructions have run (0 = no
 // limit). It returns the number of instructions executed.

@@ -444,3 +444,47 @@ func TestRegisterWorkerRefusesVersionSkew(t *testing.T) {
 		t.Fatal("registering a version-skewed worker must fail")
 	}
 }
+
+// TestMatrixPastHaltFailsOnLocalSlot runs a one-point matrix whose
+// fast-forward passes the benchmark's halt on a local slot: the matrix
+// fails with the halt error instead of the point's panic killing the
+// process, and the coordinator still runs the next matrix.
+func TestMatrixPastHaltFailsOnLocalSlot(t *testing.T) {
+	st, err := fabric.OpenStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fabric.New(fabric.Config{
+		Store: st, Engine: prisim.NewEngine(), LocalSlots: 1,
+		MaxAttempts: 2, RetryBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(bg, 60*time.Second)
+	defer cancel()
+
+	bad, _, err := coord.SubmitMatrix(prisimclient.Matrix{
+		Benchmarks: []string{"facerec"}, Policies: []string{"base"},
+		FastForward: 600_000, Run: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := coord.WaitMatrix(ctx, bad.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != prisimclient.StateFailed || !strings.Contains(final.Error, prisim.ErrHalted.Error()) {
+		t.Errorf("matrix = %s (%q), want failed with %q", final.State, final.Error, prisim.ErrHalted)
+	}
+
+	good, _, err := coord.SubmitMatrix(tinyMatrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := coord.WaitMatrix(ctx, good.ID); err != nil || final.State != prisimclient.StateDone {
+		t.Errorf("follow-up matrix = %s (%q), %v; want done", final.State, final.Error, err)
+	}
+}

@@ -311,6 +311,9 @@ func (r *Runner) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Con
 	if err := runChunked(ctx, p.Run, r.Budget.Run); err != nil {
 		return nil, err
 	}
+	if err := haltedBefore(p, r.Budget.FastForward); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
 	res := buildResult(p, w.Class == workloads.FP)
 	res.Bench = w.Name
 	res.Config = cfg.Name
@@ -387,6 +390,20 @@ func buildResult(p *ooo.Pipeline, fp bool) *Result {
 	}
 }
 
+// ErrHalted fails a run whose measured window committed nothing because the
+// program had already halted during the fast-forward before it.
+var ErrHalted = errors.New("program halted before the measured window")
+
+// haltedBefore returns an error wrapping ErrHalted when p's run committed
+// nothing because its program halted within the ff-instruction
+// fast-forward, and nil otherwise.
+func haltedBefore(p *ooo.Pipeline, ff uint64) error {
+	if p.Stats().Committed > 0 || !p.Machine().Halted() {
+		return nil
+	}
+	return fmt.Errorf("%w: it halts after %d instructions, fast-forward %d", ErrHalted, p.Machine().Seq(), ff)
+}
+
 // ErrMemLimit aborts a program run whose simulated machine footprint
 // exceeded the caller's memory cap (see RunProgram's memLimit).
 var ErrMemLimit = errors.New("simulated memory limit exceeded")
@@ -395,12 +412,13 @@ var ErrMemLimit = errors.New("simulated memory limit exceeded")
 // pipeline, uncached (the caller owns the program, so there is no key to
 // memoize under). The budget is used verbatim — FastForward 0 skips nothing
 // and Run bounds committed instructions, stopping early if the program
-// halts. It honours ctx between instruction chunks, optionally streams an
-// O3PipeView trace to pipeview, and returns the run's Result alongside the
-// program's console output. memLimit > 0 caps the simulated machine's
-// resident footprint (checked between chunks, so a run can overshoot by at
-// most one chunk's worth of page touches); exceeding it fails the run with
-// an error wrapping ErrMemLimit.
+// halts; a fast-forward that reaches the halt fails the run with an error
+// wrapping ErrHalted. It honours ctx between instruction chunks, optionally
+// streams an O3PipeView trace to pipeview, and returns the run's Result
+// alongside the program's console output. memLimit > 0 caps the simulated
+// machine's resident footprint (checked between chunks, so a run can
+// overshoot by at most one chunk's worth of page touches); exceeding it
+// fails the run with an error wrapping ErrMemLimit.
 func RunProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool, b Budget, memLimit uint64, pipeview io.Writer) (*Result, []byte, error) {
 	p := ooo.New(cfg, prog)
 	if pipeview != nil {
@@ -419,6 +437,9 @@ func RunProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool,
 		return nil, nil, err
 	}
 	if err := runChunkedCheck(ctx, p.Run, b.Run, check); err != nil {
+		return nil, nil, err
+	}
+	if err := haltedBefore(p, b.FastForward); err != nil {
 		return nil, nil, err
 	}
 	if pipeview != nil {

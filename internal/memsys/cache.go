@@ -15,7 +15,10 @@
 //prisim:deterministic
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
@@ -66,9 +69,18 @@ type line struct {
 type Cache struct {
 	cfg      CacheConfig
 	sets     int
-	lineBits uint
+	lineBits uint   // log2(line size): address to block number
+	tagShift uint   // log2(sets): block number to tag
 	lines    []line // sets × ways
 	clock    uint64
+
+	// Last-touched-line memo: lines[lastLine] holds block lastBlk, the
+	// block the previous probe hit or filled (lastLine < 0 before the first
+	// probe). Only probe writes the tag array, so that line is still
+	// resident at the next probe, and a repeat access to the block can take
+	// the hit path without the set search.
+	lastBlk  uint64
+	lastLine int
 
 	Accesses   uint64
 	Misses     uint64
@@ -85,11 +97,14 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("memsys: %s: line size %d not a power of two", cfg.Name, cfg.LineBytes))
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
+	return &Cache{
+		cfg:      cfg,
+		sets:     sets,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift: uint(bits.TrailingZeros(uint(sets))),
+		lines:    make([]line, sets*cfg.Ways),
+		lastLine: -1,
 	}
-	return &Cache{cfg: cfg, sets: sets, lineBits: lineBits, lines: make([]line, sets*cfg.Ways)}
 }
 
 // Config returns the cache geometry.
@@ -97,13 +112,25 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // probe looks up addr; on miss it installs the line (evicting LRU) and
 // reports whether a dirty line was written back. Returns hit.
+//
+//prisim:hotpath
 func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 	c.Accesses++
-	blk := addr >> c.lineBits
-	set := int(blk & uint64(c.sets-1))
-	tag := blk >> uint(setBits(c.sets))
-	base := set * c.cfg.Ways
 	c.clock++
+	blk := addr >> c.lineBits
+	if blk == c.lastBlk && c.lastLine >= 0 {
+		// The memoized line is resident (see lastBlk), so the set search
+		// would hit exactly it: take the same hit updates directly.
+		ln := &c.lines[c.lastLine]
+		ln.lru = c.clock
+		if write {
+			ln.dirty = true
+		}
+		return true, false
+	}
+	set := int(blk & uint64(c.sets-1))
+	tag := blk >> c.tagShift
+	base := set * c.cfg.Ways
 	victim := base
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := &c.lines[base+w]
@@ -112,6 +139,7 @@ func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 			if write {
 				ln.dirty = true
 			}
+			c.lastBlk, c.lastLine = blk, base+w
 			return true, false
 		}
 		if !ln.valid {
@@ -127,11 +155,13 @@ func (c *Cache) probe(addr uint64, write bool) (hit, writeback bool) {
 		c.Writebacks++
 	}
 	*v = line{valid: true, tag: tag, lru: c.clock, dirty: write}
+	c.lastBlk, c.lastLine = blk, victim
 	return false, writeback
 }
 
 // Clone returns an independent deep copy of the cache: geometry, contents,
-// LRU state, and statistics. Clone never mutates the receiver.
+// LRU state, the last-touched-line memo, and statistics. Clone never
+// mutates the receiver.
 //
 // Every Cache field must be handled here; TestCacheCloneCompleteness fails
 // when the struct gains a field Clone does not copy.
@@ -149,7 +179,7 @@ func (c *Cache) FootprintBytes() uint64 { return uint64(len(c.lines)) * 32 }
 func (c *Cache) Contains(addr uint64) bool {
 	blk := addr >> c.lineBits
 	set := int(blk & uint64(c.sets-1))
-	tag := blk >> uint(setBits(c.sets))
+	tag := blk >> c.tagShift
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := c.lines[set*c.cfg.Ways+w]
 		if ln.valid && ln.tag == tag {
@@ -165,14 +195,6 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
-}
-
-func setBits(sets int) int {
-	b := 0
-	for 1<<b < sets {
-		b++
-	}
-	return b
 }
 
 // Hierarchy composes the three levels and main memory.

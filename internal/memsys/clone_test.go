@@ -26,7 +26,8 @@ func checkFields(t *testing.T, what string, v any, handled []string) {
 // TestCacheCloneCompleteness pins the field set Cache.Clone handles.
 func TestCacheCloneCompleteness(t *testing.T) {
 	checkFields(t, "memsys.Cache", Cache{}, []string{
-		"cfg", "sets", "lineBits", "clock", // by-value via *c
+		"cfg", "sets", "lineBits", "tagShift", "clock", // by-value via *c
+		"lastBlk", "lastLine", // memo, by value: an index into lines, valid in the copy
 		"lines",                            // deep-copied
 		"Accesses", "Misses", "Writebacks", // statistics, by value
 	})

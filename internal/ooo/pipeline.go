@@ -184,22 +184,24 @@ func (p *Pipeline) Now() uint64 { return p.now }
 // to skip initialization, as the paper does before measurement. Caches and
 // the branch predictor are warmed functionally so short measurement runs are
 // not dominated by compulsory misses.
+//
+// Each instruction is stepped once, into one reused report, and predicted
+// after the step from the uop the step returns. That is the prediction a
+// predict-then-step loop makes: the predictor reads only the pc and the
+// static instruction, and the emulator never touches the predictor.
 func (p *Pipeline) FastForward(n uint64) uint64 {
+	var info emu.StepInfo
 	var done uint64
 	for done < n && !p.m.Halted() {
-		pc := p.m.PC
-		u := *p.m.PeekUop()
-		var pred bpred.Prediction
-		if u.Flags&isa.UopControl != 0 {
-			pred = p.bp.Predict(pc, u.Inst)
-		}
-		info := p.m.Step()
+		u := p.m.StepInto(&info)
 		done++
+		pc := info.PC
 		p.mem.InstFetch(pc)
 		if info.IsMem {
 			p.mem.Data(info.MemAddr, u.Flags&isa.UopStore != 0)
 		}
 		if u.Flags&isa.UopControl != 0 {
+			pred := p.bp.Predict(pc, u.Inst)
 			predNPC := pc + 4
 			if pred.Taken {
 				predNPC = pred.Target
@@ -221,6 +223,12 @@ func (p *Pipeline) Run(maxCommit uint64) uint64 {
 	// torn down only once the program's HALT commits.
 	if !p.m.Recording() {
 		p.m.StartRecording()
+	}
+	if p.m.Halted() && p.robLen == 0 && p.fetchCount == 0 {
+		// The functional machine halted before this pipeline fetched
+		// anything (a fast-forward ran past the program's HALT), so no
+		// instruction can ever commit: the run is over before it starts.
+		p.done = true
 	}
 	start := p.stats.Committed
 	p.lastCommitCycle = p.now
@@ -295,9 +303,7 @@ func (p *Pipeline) fetch() {
 		// Step writes the report straight into the slot's cold slab entry;
 		// the uop is copied by value because the cache's scratch entry (a
 		// wrong-path PC outside the text segment) does not outlive the step.
-		p.m.StepInto(&d.info)
-		d.uop = *d.info.Uop
-		d.info.Uop = nil
+		d.uop = *p.m.StepInto(&d.info)
 		u := &d.uop
 		p.slab.seq[s] = d.info.Seq
 		d.pc = pc

@@ -154,7 +154,8 @@ func TestWarmChainEqualsDirect(t *testing.T) {
 	}
 
 	// A halted machine fast-forwards as a no-op, so a chain through or past
-	// the halt point lands on the same state as a direct fast-forward.
+	// the halt point lands on the same state as a direct fast-forward, and
+	// either one runs as a finished pipeline: nothing commits.
 	for _, c := range []struct {
 		name string
 		a, b uint64
@@ -170,7 +171,13 @@ func TestWarmChainEqualsDirect(t *testing.T) {
 			t.Errorf("%s: chained Instructions() = %d, direct = %d, want the halt point %d",
 				c.name, got.Instructions(), want.Instructions(), halt)
 		}
-		if a, b := chainFingerprint(NewFromWarm(Width4(), want)), chainFingerprint(NewFromWarm(Width4(), got)); a != b {
+		wantP, gotP := NewFromWarm(Width4(), want), NewFromWarm(Width4(), got)
+		for _, p := range []*Pipeline{wantP, gotP} {
+			if n := p.Run(1000); n != 0 {
+				t.Errorf("%s: Run after the halt committed %d instructions, want 0", c.name, n)
+			}
+		}
+		if a, b := chainFingerprint(wantP), chainFingerprint(gotP); a != b {
 			t.Errorf("%s: chained warm state diverged from a direct fast-forward:\ndirect:  %s\nchained: %s", c.name, a, b)
 		}
 	}

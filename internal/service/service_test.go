@@ -487,6 +487,36 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
+// TestSimulatePastHaltFails submits a simulate job whose fast-forward
+// passes the benchmark's halt: the job fails with the halt error, and the
+// daemon keeps serving.
+func TestSimulatePastHaltFails(t *testing.T) {
+	_, c := boot(t, Config{Workers: 1})
+	j, err := c.Submit(bg, prisimclient.JobRequest{
+		Kind: prisimclient.KindSimulate, Benchmark: "facerec", Policy: "base",
+		FastForward: 600_000, Run: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(bg, j.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != prisimclient.StateFailed || !strings.Contains(final.Error, prisim.ErrHalted.Error()) {
+		t.Errorf("job = %s (%q), want failed with %q", final.State, final.Error, prisim.ErrHalted)
+	}
+	ok, err := c.Submit(bg, prisimclient.JobRequest{
+		Kind: prisimclient.KindSimulate, Benchmark: "facerec", Policy: "base", FastForward: 100, Run: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(bg, ok.ID, 0); err != nil || final.State != prisimclient.StateDone {
+		t.Errorf("follow-up job = %+v, %v; want done", final, err)
+	}
+}
+
 // TestMetricsPage sanity-checks the Prometheus exposition format.
 func TestMetricsPage(t *testing.T) {
 	_, c := boot(t, Config{Workers: 1})
