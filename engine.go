@@ -170,9 +170,11 @@ func toResult(hr *harness.Result, cfg ooo.Config) Result {
 
 // Simulate runs one benchmark at one machine point and returns the result.
 // Identical concurrent calls share a single simulation; repeated calls hit
-// the Engine's cache. The run aborts with ctx's error if the context is
-// cancelled. Runs with PipeView or MachineJSON set bypass the cache. A
-// fast-forward that reaches the benchmark's halt fails with ErrHalted.
+// the Engine's cache, which is keyed by the benchmark, the complete machine
+// (MachineJSON included) and the budget. The run aborts with ctx's error if
+// the context is cancelled. Only runs with PipeView set bypass the cache, so
+// the trace is always produced. A fast-forward that reaches the benchmark's
+// halt fails with ErrHalted.
 func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	w, cfg, err := resolveOptions(o)
 	if err != nil {
@@ -180,18 +182,17 @@ func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	}
 	rr := e.runnerFor(o)
 	var hr *harness.Result
-	if o.PipeView != nil || len(o.MachineJSON) > 0 {
+	if o.PipeView != nil {
 		hr, _, err = harness.RunProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, rr.Budget, 0, o.PipeView)
-		if hr != nil {
-			hr.Bench = w.Name
-		}
 	} else {
 		hr, err = rr.RunCtx(ctx, w, cfg)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return toResult(hr, cfg), nil
+	res := toResult(hr, cfg)
+	res.Benchmark = w.Name // RunProgram leaves it empty
+	return res, nil
 }
 
 // ErrMemLimit matches (via errors.Is) the failure of a SimulateProgram run
@@ -399,13 +400,14 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // ProgressView returns a view of the Engine that reports per-view progress
-// to fn while sharing the parent's cache and worker pool. fn is called
-// after each simulation point requested through the view resolves — by the
-// view's own run or by joining another caller's in-flight run — with the
-// points resolved and requested so far; points answered instantly from the
-// cache do not fire it. Calls are serialized; fn must be fast and must not
-// call back into the Engine. This is how a server streams per-request
-// progress while every request shares one Engine.
+// to fn while sharing the parent's cache and worker pool. Every simulation
+// point requested through the view counts toward total when requested, and
+// fn is called after each one succeeds — by the view's own run, by joining
+// another caller's in-flight run, or instantly from the cache — with the
+// points succeeded and requested so far; a warm experiment therefore
+// reports N/N. Calls are serialized; fn must be fast and must not call back
+// into the Engine. This is how a server streams per-request progress while
+// every request shares one Engine.
 func (e *Engine) ProgressView(fn func(done, total int)) *Engine {
 	return &Engine{runner: e.runner.ProgressView(fn)}
 }

@@ -2,11 +2,16 @@ package prisim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"prisim/internal/harness"
+	"prisim/internal/ooo"
+	"prisim/internal/workloads"
 )
 
 // fastOpts keeps Engine tests quick; shapes, not paper numbers, are asserted.
@@ -186,12 +191,10 @@ func TestEngineStress(t *testing.T) {
 		t.Errorf("RunsExecuted = %d for %d unique points under %d goroutines, want %d",
 			got, len(points), goroutines, len(points))
 	}
-	// Every request that ran or joined a flight reported resolving, and each
-	// point was requested that way at least once; requests after a point's
-	// completion are instant hits and report nothing.
-	if done, total := last[0], last[1]; done != total || total < len(points) || total > goroutines*len(points) {
-		t.Errorf("final progress = %d/%d, want done == total in [%d, %d]",
-			done, total, len(points), goroutines*len(points))
+	// Every request counts, however it was served: each goroutine made
+	// 3 passes over the points.
+	if want := 3 * goroutines * len(points); last != [2]int{want, want} {
+		t.Errorf("final progress = %d/%d, want %d/%d", last[0], last[1], want, want)
 	}
 	// All goroutines observed identical values for identical points.
 	for g := 1; g < goroutines; g++ {
@@ -267,7 +270,7 @@ func TestMachineJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), "48") {
 		t.Errorf("machine JSON missing PR count:\n%s", data)
 	}
-	// Feeding the JSON back selects the same machine (uncached path).
+	// Feeding the JSON back selects the same machine.
 	eng := fastEngine()
 	res, err := eng.Simulate(context.Background(), Options{Benchmark: "gzip", MachineJSON: data, Policy: PolicyPRI, PhysRegs: 48})
 	if err != nil {
@@ -275,6 +278,108 @@ func TestMachineJSONRoundTrip(t *testing.T) {
 	}
 	if res.IntPRs != 48 {
 		t.Errorf("IntPRs = %d, want 48", res.IntPRs)
+	}
+}
+
+// TestMachineJSONCached checks that a custom machine goes through the run
+// cache and the snapshot path like a Table 1 point: the result equals an
+// uncached run from instruction 0, a repeat is a hit, and machines that
+// differ in any field are distinct entries.
+func TestMachineJSONCached(t *testing.T) {
+	ctx := context.Background()
+	machine := func(edit func(*ooo.Config)) []byte {
+		cfg := ooo.Width4()
+		cfg.ROBSize = 128
+		cfg.Mem.DL1.Ways = 2
+		cfg.Mem.MSHRs = 4
+		cfg.Bpred.HistoryBits = 8
+		edit(&cfg)
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// A Table 1 point first, so a snapshot keyed on too few fields would
+	// hand the custom machine the Table 1 warm state.
+	eng := NewEngine(WithBudget(3000, 6000))
+	o := Options{Benchmark: "mcf", Policy: PolicyPRI}
+	if _, err := eng.Simulate(ctx, o); err != nil {
+		t.Fatal(err)
+	}
+	o.MachineJSON = machine(func(*ooo.Config) {})
+	got, err := eng.Simulate(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg, err := machineFor(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workloads.ByName("mcf")
+	hr, _, err := harness.RunProgram(ctx, cfg, w.Build(0), false, harness.Budget{FastForward: 3000, Run: 6000}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := toResult(hr, cfg)
+	want.Benchmark = "mcf"
+	if got != want {
+		t.Errorf("cached MachineJSON point differs from an uncached run:\n got %+v\nwant %+v", got, want)
+	}
+
+	again, err := eng.Simulate(ctx, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := eng.CacheStats(); again != got || cs.Executed != 2 || cs.Hits != 1 {
+		t.Errorf("repeat: equal %v, CacheStats %+v, want a hit on 2 executions", again == got, cs)
+	}
+
+	// No registry grid varies ROBSize or SchedSize; each still names a
+	// distinct point.
+	for _, edit := range []func(*ooo.Config){
+		func(c *ooo.Config) { c.ROBSize = 256 },
+		func(c *ooo.Config) { c.SchedSize = 16 },
+	} {
+		o.MachineJSON = machine(edit)
+		if _, err := eng.Simulate(ctx, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The three custom machines share one memory and predictor
+	// configuration, so one fast-forward snapshot serves them.
+	if cs := eng.CacheStats(); cs.Executed != 4 || cs.SnapshotBuilds != 2 {
+		t.Errorf("CacheStats = %+v, want 4 executions on 2 snapshot builds", cs)
+	}
+}
+
+// TestPanickingPointLeavesNoFlight checks that a point whose pipeline
+// panics (here a custom machine with no ROB) leaves no in-flight cache
+// entry behind: the repeat panics again instead of waiting forever.
+func TestPanickingPointLeavesNoFlight(t *testing.T) {
+	cfg := ooo.Width4()
+	cfg.ROBSize = 0
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := fastEngine()
+	simulate := func() (p any) {
+		defer func() {
+			if r := recover(); r != nil {
+				p = r
+			}
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := eng.Simulate(ctx, Options{Benchmark: "gzip", MachineJSON: data})
+		return err
+	}
+	for i := 0; i < 2; i++ {
+		if p := simulate(); p != "ooo: nonpositive structure size" {
+			t.Fatalf("call %d: got %v, want the pipeline's panic", i, p)
+		}
 	}
 }
 

@@ -404,8 +404,9 @@ func (c *Coordinator) recordPointLocked(mr *matrixRun, key string, res prisim.Re
 	}
 }
 
-// finishRunLocked assembles the run's tables and marks it done — durably,
-// so a restart replays it as completed.
+// finishRunLocked assembles the run's tables and marks it done. Nothing is
+// logged: a restart re-attaches the matrix, and its stored results complete
+// it at once.
 func (c *Coordinator) finishRunLocked(mr *matrixRun) {
 	tables, err := AssembleTables(c.kernel, mr.spec, func(key string) (prisim.Result, bool) {
 		r, ok := mr.results[key]
@@ -419,9 +420,6 @@ func (c *Coordinator) finishRunLocked(mr *matrixRun) {
 	mr.state = prisimclient.StateDone
 	mr.finished = time.Now()
 	close(mr.doneCh)
-	if err := c.store.MarkMatrixDone(mr.id); err != nil {
-		c.logf("matrix=%s done-marker append failed: %v", mr.id, err)
-	}
 	c.logf("matrix=%s state=done hits=%d executed=%d coalesced=%d latency=%s",
 		mr.id, mr.hits, mr.executed, mr.coalesced, mr.finished.Sub(mr.created).Round(time.Millisecond))
 }

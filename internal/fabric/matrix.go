@@ -129,42 +129,38 @@ var matrixMetrics = []struct {
 
 // AssembleTables renders a matrix's experiment tables — one table per
 // (metric, width, phys-regs) combination, benchmarks as rows and policies
-// as columns — from per-point results looked up by cache key. Assembly is
-// a pure function of (spec, results): the coordinator uses it over its
+// as columns — from per-point results looked up by cache key. It walks
+// Expand's points, whose canonical order is exactly table-major, row-major
+// order, so the points and their keys are declared once. Assembly is a
+// pure function of (spec, results): the coordinator uses it over its
 // store, and the byte-identity tests use it over direct Engine runs.
 func AssembleTables(kernelVersion string, m prisimclient.Matrix, get func(cacheKey string) (prisim.Result, bool)) ([]prisim.Table, error) {
 	m = NormalizeMatrix(m)
+	points := Expand(kernelVersion, m)
+	perTable := len(m.Benchmarks) * len(m.Policies)
 	var tables []prisim.Table
 	for _, metric := range matrixMetrics {
-		for _, width := range m.Widths {
-			for _, prs := range m.PhysRegs {
+		for i, p := range points {
+			if i%perTable == 0 {
 				prsLabel := "default"
-				if prs != 0 {
-					prsLabel = fmt.Sprintf("%d", prs)
+				if p.PhysRegs != 0 {
+					prsLabel = fmt.Sprintf("%d", p.PhysRegs)
 				}
-				t := prisim.Table{
-					Title:   fmt.Sprintf("Fabric matrix: %s by policy (width %d, PRs %s, ff %d, run %d)", metric.name, width, prsLabel, m.FastForward, m.Run),
+				tables = append(tables, prisim.Table{
+					Title:   fmt.Sprintf("Fabric matrix: %s by policy (width %d, PRs %s, ff %d, run %d)", metric.name, p.Width, prsLabel, m.FastForward, m.Run),
 					Columns: append([]string{"bench"}, m.Policies...),
-				}
-				for _, bench := range m.Benchmarks {
-					row := []string{bench}
-					for _, pol := range m.Policies {
-						req := prisimclient.JobRequest{
-							Kind: prisimclient.KindSimulate, Benchmark: bench,
-							Width: width, Policy: pol, PhysRegs: prs,
-							FastForward: m.FastForward, Run: m.Run,
-						}
-						key := prisimclient.CacheKeyFor(kernelVersion, req)
-						res, ok := get(key)
-						if !ok {
-							return nil, fmt.Errorf("missing result for point %s/%s width=%d prs=%d (key %.12s...)", bench, pol, width, prs, key)
-						}
-						row = append(row, metric.cell(res))
-					}
-					t.Rows = append(t.Rows, row)
-				}
-				tables = append(tables, t)
+				})
 			}
+			t := &tables[len(tables)-1]
+			if i%len(m.Policies) == 0 {
+				t.Rows = append(t.Rows, []string{p.Benchmark})
+			}
+			res, ok := get(p.CacheKey)
+			if !ok {
+				return nil, fmt.Errorf("missing result for point %s/%s width=%d prs=%d (key %.12s...)", p.Benchmark, p.Policy, p.Width, p.PhysRegs, p.CacheKey)
+			}
+			row := &t.Rows[len(t.Rows)-1]
+			*row = append(*row, metric.cell(res))
 		}
 	}
 	return tables, nil

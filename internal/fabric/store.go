@@ -34,23 +34,21 @@ type Entry struct {
 
 // MatrixRecord is one durable matrix submission: replayed on restart so an
 // in-flight matrix survives a coordinator crash and resumes where the
-// result log left off.
+// result log left off. Whether it finished is not recorded: a replayed
+// matrix whose points are all in the result log completes from them.
 type MatrixRecord struct {
 	ID      string              `json:"id"`
 	Spec    prisimclient.Matrix `json:"spec"`
 	Created time.Time           `json:"created"`
-
-	// Done is reconstructed from a later matrix_done record, not stored on
-	// the submission record itself (the log is append-only).
-	Done bool `json:"-"`
 }
 
-// record is one line of the store's append-only log.
+// record is one line of the store's append-only log. Logs written before
+// matrices stopped recording completion also hold "matrix_done" lines;
+// replay skips them.
 type record struct {
-	Type     string        `json:"type"` // "result", "matrix", or "matrix_done"
-	Entry    *Entry        `json:"entry,omitempty"`
-	Matrix   *MatrixRecord `json:"matrix,omitempty"`
-	MatrixID string        `json:"matrix_id,omitempty"`
+	Type   string        `json:"type"` // "result" or "matrix"
+	Entry  *Entry        `json:"entry,omitempty"`
+	Matrix *MatrixRecord `json:"matrix,omitempty"`
 }
 
 // Store is the fabric's durable content-addressed result store: an
@@ -62,11 +60,11 @@ type record struct {
 type Store struct {
 	mu sync.Mutex
 
-	f    *os.File                 // guarded by mu; nil = memory-only store
-	path string                   // "" = memory-only
-	ents map[string]Entry         // guarded by mu; by cache key
-	mats map[string]*MatrixRecord // guarded by mu; by matrix ID
-	mord []string                 // guarded by mu; matrix insertion order
+	f    *os.File                // guarded by mu; nil = memory-only store
+	path string                  // "" = memory-only
+	ents map[string]Entry        // guarded by mu; by cache key
+	mats map[string]MatrixRecord // guarded by mu; by matrix ID
+	mord []string                // guarded by mu; matrix insertion order
 
 	hits   uint64 // guarded by mu
 	misses uint64 // guarded by mu
@@ -82,7 +80,7 @@ func OpenStore(path string) (*Store, error) {
 	s := &Store{
 		path: path,
 		ents: make(map[string]Entry),
-		mats: make(map[string]*MatrixRecord),
+		mats: make(map[string]MatrixRecord),
 	}
 	if path == "" {
 		return s, nil
@@ -153,14 +151,9 @@ func (s *Store) applyLocked(rec record) {
 	case "matrix":
 		if rec.Matrix != nil {
 			if _, ok := s.mats[rec.Matrix.ID]; !ok {
-				m := *rec.Matrix
-				s.mats[m.ID] = &m
-				s.mord = append(s.mord, m.ID)
+				s.mats[rec.Matrix.ID] = *rec.Matrix
+				s.mord = append(s.mord, rec.Matrix.ID)
 			}
-		}
-	case "matrix_done":
-		if m, ok := s.mats[rec.MatrixID]; ok {
-			m.Done = true
 		}
 	}
 }
@@ -219,28 +212,12 @@ func (s *Store) PutMatrix(id string, spec prisimclient.Matrix, created time.Time
 	if _, ok := s.mats[id]; ok {
 		return nil
 	}
-	m := &MatrixRecord{ID: id, Spec: spec, Created: created}
-	if err := s.appendLocked(record{Type: "matrix", Matrix: m}); err != nil {
+	m := MatrixRecord{ID: id, Spec: spec, Created: created}
+	if err := s.appendLocked(record{Type: "matrix", Matrix: &m}); err != nil {
 		return err
 	}
 	s.mats[id] = m
 	s.mord = append(s.mord, id)
-	return nil
-}
-
-// MarkMatrixDone durably records that every point of the matrix is in the
-// result log, so a restart replays it as completed instead of resuming it.
-func (s *Store) MarkMatrixDone(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.mats[id]
-	if !ok || m.Done {
-		return nil
-	}
-	if err := s.appendLocked(record{Type: "matrix_done", MatrixID: id}); err != nil {
-		return err
-	}
-	m.Done = true
 	return nil
 }
 
@@ -250,7 +227,7 @@ func (s *Store) Matrices() []MatrixRecord {
 	defer s.mu.Unlock()
 	out := make([]MatrixRecord, 0, len(s.mord))
 	for _, id := range s.mord {
-		out = append(out, *s.mats[id])
+		out = append(out, s.mats[id])
 	}
 	return out
 }

@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,9 +38,6 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if err := s.PutMatrix("mx-1", prisimclient.Matrix{Benchmarks: []string{"gzip"}, Policies: []string{"er"}}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MarkMatrixDone("mx-1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,64 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 		t.Errorf("entry changed across reopen:\n got %+v\nwant %+v", got, want)
 	}
 	mats := s2.Matrices()
-	if len(mats) != 1 || mats[0].ID != "mx-1" || !mats[0].Done {
-		t.Errorf("matrices after reopen = %+v, want one done mx-1", mats)
+	if len(mats) != 1 || mats[0].ID != "mx-1" {
+		t.Errorf("matrices after reopen = %+v, want one mx-1", mats)
+	}
+}
+
+// legacyLog is a store log written before matrices stopped recording their
+// completion: a finished two-point matrix, its results, its "matrix_done"
+// marker, and a second matrix that never started.
+const legacyLog = `{"type":"matrix","matrix":{"id":"mx-e64adc4ee26aaae3","spec":{"benchmarks":["gzip"],"policies":["base","er"],"widths":[4],"phys_regs":[0],"fast_forward":300,"run":1500},"created":"2023-11-14T22:13:20Z"}}
+{"type":"result","entry":{"key":"c00db0d01190f14a1fb3ca489d42a71439504cfb8c5dfe4e5ed55c4d7e042b2a","kernel":"v0.4.0-dev","computed_by":"w1","created":"2023-11-14T22:13:20Z","request":{"kind":"simulate","benchmark":"gzip","width":4,"policy":"base","fast_forward":300,"run":1500,"cache_key":"c00db0d01190f14a1fb3ca489d42a71439504cfb8c5dfe4e5ed55c4d7e042b2a"},"result":{"Benchmark":"gzip","Machine":"","IntPRs":0,"FPPRs":0,"IPC":1.5,"Cycles":0,"Committed":1500,"IntOccupancy":0,"FPOccupancy":0,"AllocToWrite":0,"WriteToRead":0,"ReadToRelease":0,"InlineFraction":0,"MispredictRate":0,"BranchResolved":0,"DL1MissRate":0,"L2MissRate":0,"Replays":0,"InlinedResults":0,"WAWSuppressed":0,"DeferredFrees":0,"EarlyFrees":0}}}
+{"type":"result","entry":{"key":"5cf0a1a9641bd7a9bd42f322eaaa6af0c94b7f65678f66fba1cc0534f581fd21","kernel":"v0.4.0-dev","computed_by":"w1","created":"2023-11-14T22:13:20Z","request":{"kind":"simulate","benchmark":"gzip","width":4,"policy":"er","fast_forward":300,"run":1500,"cache_key":"5cf0a1a9641bd7a9bd42f322eaaa6af0c94b7f65678f66fba1cc0534f581fd21"},"result":{"Benchmark":"gzip","Machine":"","IntPRs":0,"FPPRs":0,"IPC":1.5,"Cycles":0,"Committed":1500,"IntOccupancy":0,"FPOccupancy":0,"AllocToWrite":0,"WriteToRead":0,"ReadToRelease":0,"InlineFraction":0,"MispredictRate":0,"BranchResolved":0,"DL1MissRate":0,"L2MissRate":0,"Replays":0,"InlinedResults":0,"WAWSuppressed":0,"DeferredFrees":0,"EarlyFrees":0}}}
+{"type":"matrix_done","matrix_id":"mx-e64adc4ee26aaae3"}
+{"type":"matrix","matrix":{"id":"mx-8ada069b5a806898","spec":{"benchmarks":["mcf"],"policies":["base"],"widths":[4],"phys_regs":[0],"fast_forward":300,"run":1500},"created":"2023-11-14T22:13:20Z"}}
+`
+
+// TestStoreReplaysLegacyMatrixDone opens a log holding "matrix_done" lines:
+// every result and matrix replays, nothing is truncated, and a coordinator
+// completes the finished matrix from its stored results alone while the
+// unstarted one stays open.
+func TestStoreReplaysLegacyMatrixDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	if err := os.WriteFile(path, []byte(legacyLog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(legacyLog)) {
+		t.Fatalf("log changed on open: %v, %v", fi, err)
+	}
+	if s.Len() != 2 {
+		t.Errorf("replayed %d results, want 2", s.Len())
+	}
+	mats := s.Matrices()
+	if len(mats) != 2 || mats[0].ID != "mx-e64adc4ee26aaae3" || mats[1].ID != "mx-8ada069b5a806898" {
+		t.Fatalf("replayed matrices = %+v", mats)
+	}
+
+	c, err := New(Config{Store: s, Engine: prisim.NewEngine(), KernelVersion: "v0.4.0-dev"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	done, err := c.MatrixStatus(mats[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != prisimclient.StateDone || done.StoreHits != 2 || done.Executed != 0 {
+		t.Errorf("finished matrix after replay: %+v, want done from 2 store hits", done)
+	}
+	open, err := c.MatrixStatus(mats[1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open.State != prisimclient.StateRunning || open.Done != 0 {
+		t.Errorf("unstarted matrix after replay: %+v, want running with 0 done", open)
 	}
 }
 
@@ -251,6 +307,22 @@ func TestMatrixIDIsContentDerived(t *testing.T) {
 	}
 }
 
+// TestMatrixIDPinned fixes the exact bytes of one matrix identity, and of
+// its explicit-default spelling: durable matrix records are looked up by it.
+func TestMatrixIDPinned(t *testing.T) {
+	m := prisimclient.Matrix{
+		Benchmarks: []string{"gzip", "mcf"}, Policies: []string{"base", "er"},
+		Widths: []int{4, 8}, PhysRegs: []int{0, 48}, FastForward: 2000, Run: 8000,
+	}
+	if got, want := MatrixID("v0.4.0-dev", m), "mx-ba6ad7a3b63be86d"; got != want {
+		t.Errorf("MatrixID = %s, want %s", got, want)
+	}
+	d := prisimclient.Matrix{Benchmarks: []string{"gzip"}, Policies: []string{"base", "er"}}
+	if got, want := MatrixID("v0.4.0-dev", d), "mx-be2df55d346b22fb"; got != want {
+		t.Errorf("MatrixID(defaulted) = %s, want %s", got, want)
+	}
+}
+
 func TestExpandKeysMatchClientHash(t *testing.T) {
 	m := NormalizeMatrix(prisimclient.Matrix{
 		Benchmarks: []string{"gzip", "mcf"}, Policies: []string{"base", "er"},
@@ -269,5 +341,45 @@ func TestExpandKeysMatchClientHash(t *testing.T) {
 			t.Errorf("duplicate cache key for %s/%s", r.Benchmark, r.Policy)
 		}
 		seen[r.CacheKey] = true
+	}
+}
+
+// TestAssembleTablesShapePinned fixes the rendered tables of a spec that
+// names points twice (Widths [4, 4, 8]) across two phys-regs blocks, with a
+// result per point derived from its request, so a change to how tables
+// walk the points cannot move a row, column or title.
+func TestAssembleTablesShapePinned(t *testing.T) {
+	m := prisimclient.Matrix{
+		Benchmarks: []string{"gzip", "mcf", "vpr"}, Policies: []string{"base", "er", "pri-rc-ckpt"},
+		Widths: []int{4, 4, 8}, PhysRegs: []int{0, 48}, FastForward: 300, Run: 1500,
+	}
+	results := map[string]prisim.Result{}
+	for i, req := range Expand("v0.4.0-dev", m) {
+		results[req.CacheKey] = prisim.Result{
+			IPC:          float64(req.Width) + float64(req.PhysRegs)/100 + float64(len(req.Benchmark)+len(req.Policy))/7,
+			AllocToWrite: float64(i % 9), WriteToRead: float64(len(req.Policy)), ReadToRelease: 0.25,
+		}
+	}
+	tables, err := AssembleTables("v0.4.0-dev", m, func(key string) (prisim.Result, bool) {
+		r, ok := results[key]
+		return r, ok
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tb := range tables {
+		sb.WriteString(tb.String())
+	}
+	if len(tables) != 12 {
+		t.Errorf("rendered %d tables, want 2 metrics x 3 widths x 2 phys-regs = 12", len(tables))
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	if got, want := hex.EncodeToString(sum[:]), "d83bc260fb9c322194eda2af216df39f1d85f5e824c5ce4ebb8d219d70328515"; got != want {
+		t.Errorf("tables sha256 = %s, want %s\n%s", got, want, sb.String())
+	}
+	if _, err := AssembleTables("v0.4.0-dev", m, func(string) (prisim.Result, bool) { return prisim.Result{}, false }); err == nil ||
+		!strings.Contains(err.Error(), "missing result for point gzip/base width=4 prs=0") {
+		t.Errorf("missing result error = %v", err)
 	}
 }

@@ -87,17 +87,13 @@ type Result struct {
 	EarlyFrees     uint64
 }
 
+// runKey identifies one timing run: the workload, the whole machine
+// configuration and the budget. ooo.Config is comparable, so every field of
+// the machine is part of the key and no two distinct machines can alias.
 type runKey struct {
-	bench    string
-	width    int
-	policy   string
-	prs      int
-	inline   bool
-	consv    bool
-	delayed  bool
-	mshrs    int
-	prefetch bool
-	budget   Budget
+	bench  string
+	cfg    ooo.Config
+	budget Budget
 }
 
 // shared is the Runner state common to every budget and progress view: the
@@ -124,16 +120,32 @@ type CacheStats struct {
 	SnapshotFFInstructions uint64 // instructions executed to build snapshots
 }
 
-// viewState is the per-view progress accounting behind ProgressView: done
-// counts the view's requests that have resolved (by its own flight, by
-// joining another flight, or — for requests made before the point was
-// cached — never; completed-entry hits resolve instantly and are not
-// counted), submitted counts requests that found no completed entry.
+// viewState is a view's progress accounting: total counts every RunCtx
+// request made through the view, done those that succeeded, however they
+// were served. Only views made by ProgressView have a hook to report to.
 type viewState struct {
-	mu        sync.Mutex
-	hook      func(done, total int) // guarded by mu
-	done      int                   // guarded by mu
-	submitted int                   // guarded by mu
+	mu    sync.Mutex
+	hook  func(done, total int) // guarded by mu
+	done  int                   // guarded by mu
+	total int                   // guarded by mu
+}
+
+// request counts one request against the view.
+func (v *viewState) request() {
+	v.mu.Lock()
+	v.total++
+	v.mu.Unlock()
+}
+
+// resolved marks one of the view's requests successful and fires the hook
+// under the view lock, so reported (done, total) pairs are monotonic.
+func (v *viewState) resolved() {
+	v.mu.Lock()
+	v.done++
+	if v.hook != nil {
+		v.hook(v.done, v.total)
+	}
+	v.mu.Unlock()
 }
 
 // Runner executes timing runs on a bounded worker pool and memoizes them;
@@ -143,7 +155,7 @@ type viewState struct {
 type Runner struct {
 	Budget Budget
 	s      *shared
-	view   *viewState // nil unless created by ProgressView
+	view   *viewState // shared with WithBudget views; ProgressView makes a new one
 }
 
 // NewRunner returns a Runner with the given budget (zero fields take the
@@ -164,6 +176,7 @@ func NewParallelRunner(b Budget, workers int) *Runner {
 			runs:  newMemo[runKey, *Result](0, nil),
 			snaps: newMemo[snapKey](maxSnapshots, (*ooo.WarmState).Bytes),
 		},
+		view: &viewState{},
 	}
 }
 
@@ -182,12 +195,13 @@ func (r *Runner) WithBudget(b Budget) *Runner {
 }
 
 // ProgressView returns a view of the Runner that reports per-view progress
-// to fn while sharing the receiver's caches and worker pool. fn is called
-// after each of the view's requests resolves, with the number resolved and
-// the number submitted by this view so far; requests answered instantly
-// from a completed cache entry do not fire it. Calls are serialized; fn
-// must be fast and must not call back into the Runner. The view survives
-// WithBudget, so one view can track a whole experiment.
+// to fn while sharing the receiver's caches and worker pool. Every request
+// made through the view counts toward total when it starts; fn is called
+// after each one succeeds — by its own run, by joining another caller's, or
+// instantly from the cache — with the number succeeded and the number
+// requested so far. Calls are serialized; fn must be fast and must not call
+// back into the Runner. The view survives WithBudget, so one view can track
+// a whole experiment.
 func (r *Runner) ProgressView(fn func(done, total int)) *Runner {
 	return &Runner{Budget: r.Budget, s: r.s, view: &viewState{hook: fn}}
 }
@@ -207,52 +221,10 @@ func (r *Runner) CacheStats() CacheStats {
 	}
 }
 
-// viewSubmit records one not-instantly-resolvable request against the view,
-// at most once per RunCtx call.
-func (r *Runner) viewSubmit(counted *bool) {
-	if r.view == nil || *counted {
-		return
-	}
-	*counted = true
-	r.view.mu.Lock()
-	r.view.submitted++
-	r.view.mu.Unlock()
-}
-
-// viewDone marks one of the view's requests resolved and fires the hook.
-// The hook runs under the view lock so reported (done, total) pairs are
-// monotonic.
-func (r *Runner) viewDone(counted bool) {
-	if r.view == nil || !counted {
-		return
-	}
-	r.view.mu.Lock()
-	r.view.done++
-	if r.view.hook != nil {
-		r.view.hook(r.view.done, r.view.submitted)
-	}
-	r.view.mu.Unlock()
-}
-
 // RunsExecuted reports how many simulations this Runner (including all
 // budget views) has actually executed — cache hits and deduplicated
 // concurrent requests do not count.
 func (r *Runner) RunsExecuted() int { return r.s.runs.stats().runs }
-
-func (r *Runner) key(w workloads.Workload, cfg ooo.Config) runKey {
-	return runKey{
-		bench:    w.Name,
-		width:    cfg.Width,
-		policy:   cfg.Rename.Policy.Name(),
-		prs:      cfg.Rename.IntPRs,
-		inline:   cfg.InlineAtRename,
-		consv:    cfg.ConservativeDisambiguation,
-		delayed:  cfg.DelayedAllocation,
-		mshrs:    cfg.Mem.MSHRs,
-		prefetch: cfg.Mem.NextLinePrefetch,
-		budget:   r.Budget,
-	}
-}
 
 // Run simulates one benchmark on one machine configuration, memoized. It is
 // the context-free form of RunCtx and never fails.
@@ -273,12 +245,11 @@ func (r *Runner) Run(w workloads.Workload, cfg ooo.Config) *Result {
 // between instruction chunks when ctx is cancelled; a cancelled flight is
 // evicted so later calls retry it.
 func (r *Runner) RunCtx(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
-	counted := false // view accounting: at most one submit per call
-	res, err := r.s.runs.do(ctx, r.key(w, cfg),
-		func() (*Result, error) { return r.simulate(ctx, w, cfg) },
-		func() { r.viewSubmit(&counted) })
+	r.view.request()
+	res, err := r.s.runs.do(ctx, runKey{w.Name, cfg, r.Budget},
+		func() (*Result, error) { return r.simulate(ctx, w, cfg) })
 	if err == nil {
-		r.viewDone(counted)
+		r.view.resolved()
 	}
 	return res, err
 }

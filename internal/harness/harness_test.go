@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -150,7 +151,7 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 
 	// Wait until the owner has installed its in-flight entry, then attach
 	// a waiter with a context that stays live.
-	key := r.key(w, cfg)
+	key := runKey{w.Name, cfg, r.Budget}
 	for {
 		r.s.runs.mu.Lock()
 		_, inFlight := r.s.runs.slots[key]
@@ -201,8 +202,8 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 }
 
 // TestProgressView asserts per-view progress accounting: the view counts
-// its own resolved points, completed-entry cache hits fire nothing, and a
-// second view is independent.
+// every request it makes, instant cache hits included, and a second view is
+// independent.
 func TestProgressView(t *testing.T) {
 	r := NewRunner(tinyBudget)
 	w4, w8 := ooo.Width4(), ooo.Width8()
@@ -217,22 +218,25 @@ func TestProgressView(t *testing.T) {
 	})
 	v.Run(w, w4)
 	v.Run(w, w8)
-	v.Run(w, w4) // completed-entry hit: no event
-	if len(got) != 2 || got[0] != [2]int{1, 1} || got[1] != [2]int{2, 2} {
-		t.Errorf("view progress events = %v, want [[1 1] [2 2]]", got)
+	v.Run(w, w4) // completed-entry hit: still a request of the view
+	if want := [][2]int{{1, 1}, {2, 2}, {3, 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("view progress events = %v, want %v", got, want)
 	}
 	// The budget view must keep reporting to the same hook.
 	v.WithBudget(Budget{FastForward: 200, Run: 900}).Run(w, w4)
-	if len(got) != 3 || got[2] != [2]int{3, 3} {
+	if len(got) != 4 || got[3] != [2]int{4, 4} {
 		t.Errorf("after budget view, events = %v", got)
 	}
-	// A fresh view starts from zero while sharing the cache (all hits: no
-	// events).
+	// A fresh view starts from zero while sharing the cache: its pure hit
+	// reports 1/1, so a warm experiment reads N/N.
 	var other [][2]int
 	v2 := r.ProgressView(func(done, total int) { other = append(other, [2]int{done, total}) })
 	v2.Run(w, w4)
-	if len(other) != 0 {
-		t.Errorf("second view saw events for pure cache hits: %v", other)
+	if want := [][2]int{{1, 1}}; !reflect.DeepEqual(other, want) {
+		t.Errorf("second view events = %v, want %v", other, want)
+	}
+	if cs := r.CacheStats(); cs.Executed != 3 {
+		t.Errorf("Executed = %d, want 3 (gzip at w4, w8 and the second budget)", cs.Executed)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -9,10 +10,10 @@ import (
 // results and fast-forward snapshots). The first caller for a key computes
 // the value while concurrent callers for the same key wait — holding
 // nothing, so waiting cannot deadlock the worker pool — and share it. A
-// flight that fails (its owner's context was cancelled) is evicted before
-// its waiters wake, so they retry under their own contexts. With limit > 0,
-// least-recently-used completed slots are evicted beyond limit; in-flight
-// slots never are.
+// flight that fails (its owner's context was cancelled, or fn returned an
+// error or panicked) is evicted before its waiters wake, so they retry
+// under their own contexts. With limit > 0, least-recently-used completed
+// slots are evicted beyond limit; in-flight slots never are.
 type memo[K comparable, V any] struct {
 	limit int            // resident-slot bound; 0 = unbounded
 	size  func(V) uint64 // resident bytes of one value; nil = not tracked
@@ -52,11 +53,8 @@ func (m *memo[K, V]) stats() memoStats {
 }
 
 // do returns key's value, computing it with fn when no completed or
-// in-flight slot exists. pending, if non-nil, runs (outside the lock) each
-// time the caller is about to wait on or run a flight, i.e. whenever the
-// request is not answered instantly; it may run more than once if a joined
-// flight fails and the caller retries.
-func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error), pending func()) (V, error) {
+// in-flight slot exists.
+func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
 	for {
 		if err := ctx.Err(); err != nil {
@@ -75,13 +73,10 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error), pendin
 			default:
 			}
 			m.mu.Unlock()
-			if pending != nil {
-				pending()
-			}
 			select {
 			case <-s.done:
 				if s.err != nil {
-					continue // the owner was cancelled; retry under ctx
+					continue // the owner failed or was cancelled; retry under ctx
 				}
 				m.mu.Lock()
 				m.joins++
@@ -92,31 +87,37 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error), pendin
 				return zero, ctx.Err()
 			}
 		}
-		s := &slot[V]{done: make(chan struct{})}
+		s := &slot[V]{done: make(chan struct{}), err: errPanicked}
 		m.slots[key] = s
 		m.mu.Unlock()
-		if pending != nil {
-			pending()
-		}
-
+		defer m.settle(key, s) // deferred, so a panic in fn cannot strand waiters
 		s.val, s.err = fn()
-		if s.err == nil && m.size != nil {
-			s.bytes = m.size(s.val)
-		}
-
-		m.mu.Lock()
-		if s.err != nil {
-			delete(m.slots, key)
-		} else {
-			m.runs++
-			m.bytes += s.bytes
-			m.touch(s)
-			m.evict()
-		}
-		m.mu.Unlock()
-		close(s.done)
 		return s.val, s.err
 	}
+}
+
+// errPanicked is the error of a flight whose fn panicked. The flight
+// settles as failed, so its waiters retry instead of waiting forever, and
+// the panic continues up the owner's stack.
+var errPanicked = errors.New("harness: flight panicked")
+
+// settle publishes a finished flight. A failed one is evicted before its
+// waiters wake, so they retry under their own contexts.
+func (m *memo[K, V]) settle(key K, s *slot[V]) {
+	if s.err == nil && m.size != nil {
+		s.bytes = m.size(s.val)
+	}
+	m.mu.Lock()
+	if s.err != nil {
+		delete(m.slots, key)
+	} else {
+		m.runs++
+		m.bytes += s.bytes
+		m.touch(s)
+		m.evict()
+	}
+	m.mu.Unlock()
+	close(s.done)
 }
 
 // nearest returns the value of the completed or in-flight slot whose key

@@ -62,7 +62,7 @@ func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Conf
 	}
 	key := r.snapshotKey(w, cfg)
 	return r.s.snaps.do(ctx, key,
-		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg, key) }, nil)
+		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg, key) })
 }
 
 // buildSnapshot fast-forwards one workload to key.ff inside a worker-pool

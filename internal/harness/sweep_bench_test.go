@@ -11,8 +11,8 @@ import (
 )
 
 // sweepRunPerPoint is the measured budget per sweep point in
-// BenchmarkSweepFig8Mix. Keep in sync with cmd/priexp's -timing sweep,
-// which records the points/s floor this benchmark is gated against.
+// BenchmarkSweepFig8Mix, the budget BENCH_harness.json's points/s floor
+// was recorded at.
 const sweepRunPerPoint = 8000
 
 // sweepFig8MixConfigs is the gate's fig8-shaped config axis: 4 rename

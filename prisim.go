@@ -105,8 +105,9 @@ type Options struct {
 
 	// MachineJSON, when non-empty, overrides the Width-selected machine
 	// with a JSON configuration (the format MachineJSON produces); Policy,
-	// PhysRegs, and the extension flags still apply on top. Runs with a
-	// custom machine bypass the Engine's memoization cache.
+	// PhysRegs, and the extension flags still apply on top. The whole
+	// machine is part of the Engine's cache key, so a custom machine is
+	// memoized like a Table 1 one and never aliases another.
 	MachineJSON []byte
 	// PipeView, when non-nil, receives a gem5 O3PipeView-format pipeline
 	// trace of the run. Traced runs bypass the memoization cache so the

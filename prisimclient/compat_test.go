@@ -211,3 +211,67 @@ func TestCacheKeyForNormalizesDefaults(t *testing.T) {
 		t.Error("phys_regs must change the cache key")
 	}
 }
+
+// TestCacheKeyBytesPinned fixes the exact hex of both content-hash schemas.
+// Every durable store log is addressed by these bytes: a change to the
+// field list, order, spelling or default handling would make every stored
+// result miss, which no equality test catches. The kernel version is a
+// literal so a version bump does not move the pins.
+func TestCacheKeyBytesPinned(t *testing.T) {
+	const kernel = "v0.4.0-dev"
+	sim := []struct {
+		name string
+		req  JobRequest
+		want string
+	}{
+		{"defaulted", JobRequest{Benchmark: "gzip"},
+			"6bc011fa70c26d4b0e977a11a183940bd31b395c98fe6420c076fcd60f696a64"},
+		{"explicit defaults", JobRequest{Benchmark: "gzip", Width: 4, Policy: "base", FastForward: 20_000, Run: 80_000},
+			"6bc011fa70c26d4b0e977a11a183940bd31b395c98fe6420c076fcd60f696a64"},
+		{"rename_inline", JobRequest{Benchmark: "gzip", RenameInline: true},
+			"452a19343efc902124c1c00851e0435b20611e46461b548cdb7922be8c0f809d"},
+		{"delayed_alloc", JobRequest{Benchmark: "gzip", DelayedAllocation: true},
+			"454a5699a5043588461d8c981fb67ec71520e9e24c49a52a56b34988135c290e"},
+		{"phys_regs", JobRequest{Benchmark: "gzip", PhysRegs: 48},
+			"10c62ac059ab00552ee80a2b50faa7ad0857776c8d1a0c3729c578f109101bc3"},
+		{"every field", JobRequest{Benchmark: "mcf", Width: 8, Policy: "pri-rc-ckpt", PhysRegs: 96,
+			RenameInline: true, DelayedAllocation: true, FastForward: 2000, Run: 8000},
+			"d627d6250f84a5394e49d2fd6331cca0c826cb42301cabd7e770b8833dd74840"},
+	}
+	for _, c := range sim {
+		c.req.Kind = KindSimulate
+		if got := CacheKeyFor(kernel, c.req); got != c.want {
+			t.Errorf("CacheKeyFor(%s) = %s, want %s", c.name, got, c.want)
+		}
+	}
+
+	const image = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	prog := []struct {
+		name string
+		req  JobRequest
+		want string
+	}{
+		{"defaulted", JobRequest{},
+			"d0f55cbf78927bffc3dc31e72484c8f7d33e26cab4fee441553bedbe086c61c4"},
+		{"explicit defaults", JobRequest{Width: 4, Policy: "base"},
+			"d0f55cbf78927bffc3dc31e72484c8f7d33e26cab4fee441553bedbe086c61c4"},
+		{"rename_inline", JobRequest{RenameInline: true},
+			"6d7dfcf9fa948501c9c56520d344d64205e38a9adde225539a21c136f5213416"},
+		{"delayed_alloc", JobRequest{DelayedAllocation: true},
+			"780bcb5752dc1972a1b03d2778896c4fe25ac88936e72af2a61c4b2fd83477d4"},
+		{"phys_regs", JobRequest{PhysRegs: 48},
+			"dc25c866b4a3cab2e7d27da52e3603f17bb3f408ef017f3a1f0e7670cb15d7dd"},
+		// A program budget hashes verbatim: the simulate defaults are a
+		// different key from the zero budget.
+		{"budget verbatim", JobRequest{FastForward: 20_000, Run: 80_000},
+			"0804c11bffc5fe283bd0b5af8a2574b862481b128ed404430e893bfcd5c09bff"},
+		{"every field", JobRequest{Width: 8, Policy: "er", PhysRegs: 40, FastForward: 100, Run: 5000},
+			"a1a14e8f6554f64874acdc03eb5b64c91e715d7d9dc59f4a6465f9153204d103"},
+	}
+	for _, c := range prog {
+		c.req.Kind = KindProgram
+		if got := CacheKeyForProgram(kernel, image, c.req); got != c.want {
+			t.Errorf("CacheKeyForProgram(%s) = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
