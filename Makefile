@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 20m . ./internal/harness ./internal/ooo ./internal/service ./internal/fabric
+	$(GO) test -race -timeout 20m . ./internal/ooo ./internal/service ./internal/fabric
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./...
@@ -46,7 +46,7 @@ benchgate:
 # BENCH_harness.json (best of 3 sweeps). It catches the snapshot cache
 # silently degrading to per-point fast-forward replay.
 sweepgate:
-	$(GO) test ./internal/harness -run '^$$' -bench BenchmarkSweepFig8Mix \
+	$(GO) test . -run '^$$' -bench BenchmarkSweepFig8Mix \
 		-benchtime 1x -count 3 | $(GO) run ./cmd/benchgate \
 		-baseline BENCH_harness.json -bench BenchmarkSweepFig8Mix \
 		-metric points/s -floorkey sweep_points_per_sec_floor -frac 0.7

@@ -3,7 +3,7 @@ package prisim
 // One benchmark per table and figure in the paper's evaluation. Each bench
 // regenerates its experiment end to end (simulating every benchmark x
 // machine x policy point it needs) at a reduced per-run budget so the
-// harness itself is what is being measured; use cmd/priexp for full-budget
+// experiment engine itself is what is being measured; use cmd/priexp for full-budget
 // reproduction output.
 //
 //	go test -bench=. -benchmem
@@ -15,34 +15,31 @@ import (
 	"testing"
 
 	"prisim/internal/core"
-	"prisim/internal/harness"
 	"prisim/internal/ooo"
-	"prisim/internal/stats"
 	"prisim/internal/workloads"
 )
 
 // benchBudget keeps testing.B iterations affordable; experiments run every
 // (benchmark, machine, policy) cell they need at this budget.
-var benchBudget = harness.Budget{FastForward: 2000, Run: 6000}
+func newBenchEngine() *Engine { return NewEngine(WithBudget(2000, 6000)) }
 
 var benchCtx = context.Background()
 
-func newRunner() *harness.Runner { return harness.NewRunner(benchBudget) }
-
-// rows fails the benchmark unless the driver succeeded and produced n rows.
-func rows(b *testing.B, t *stats.Table, err error, n int) {
+// rows fails the benchmark unless the driver succeeded and produced one
+// table of n rows.
+func rows(b *testing.B, ts []Table, err error, n int) {
 	b.Helper()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(t.Rows) != n {
-		b.Fatalf("incomplete: %d rows, want %d", len(t.Rows), n)
+	if len(ts) != 1 || len(ts[0].Rows) != n {
+		b.Fatalf("incomplete: %d tables, want 1 of %d rows", len(ts), n)
 	}
 }
 
 func BenchmarkTable1Machines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if harness.Table1().String() == "" {
+		if ts, _ := newBenchEngine().table1(benchCtx); ts[0].String() == "" {
 			b.Fatal("empty table")
 		}
 	}
@@ -50,25 +47,25 @@ func BenchmarkTable1Machines(b *testing.B) {
 
 func BenchmarkTable2BaseIPC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Table2(benchCtx)
-		rows(b, t, err, 27)
+		ts, err := newBenchEngine().table2(benchCtx)
+		rows(b, ts, err, 27)
 	}
 }
 
 func BenchmarkFig1RegisterLifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig1(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().fig1(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
 func BenchmarkFig2OperandSignificance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		intT, fpT, err := newRunner().Fig2(benchCtx)
+		ts, err := newBenchEngine().fig2(benchCtx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(intT.Rows) != 13 || len(fpT.Rows) != 14 {
+		if len(ts[0].Rows) != 13 || len(ts[1].Rows) != 14 {
 			b.Fatal("fig 2 incomplete")
 		}
 	}
@@ -76,60 +73,50 @@ func BenchmarkFig2OperandSignificance(b *testing.B) {
 
 func BenchmarkFig8LifetimeReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig8(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().fig8(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
 func BenchmarkFig9RegisterSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig9(benchCtx, 4)
-		rows(b, t, err, 27)
+		t, err := newBenchEngine().fig9(benchCtx, 4)
+		rows(b, []Table{t}, err, 27)
 	}
 }
 
 func BenchmarkFig10IntSpeedups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig10(benchCtx, 4)
-		rows(b, t, err, 14)
+		t, err := newBenchEngine().fig10(benchCtx, 4)
+		rows(b, []Table{t}, err, 14)
 	}
 }
 
 func BenchmarkFig11Occupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig11(benchCtx, 4)
-		rows(b, t, err, 13)
+		t, err := newBenchEngine().fig11(benchCtx, 4)
+		rows(b, []Table{t}, err, 13)
 	}
 }
 
 func BenchmarkFig12FPSpeedups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().Fig12(benchCtx, 4)
-		rows(b, t, err, 15)
+		t, err := newBenchEngine().fig12(benchCtx, 4)
+		rows(b, []Table{t}, err, 15)
 	}
 }
 
 func BenchmarkAblationRenameInline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationRenameInline(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().ablationRenameInline(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
 func BenchmarkAblationDisambiguation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDisambiguation(benchCtx)
-		rows(b, t, err, 13)
-	}
-}
-
-// BenchmarkFig8Parallel measures the same experiment on a worker pool sized
-// by GOMAXPROCS (cold cache each iteration) — the wall-clock win the v2
-// harness exists for.
-func BenchmarkFig8Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.NewParallelRunner(benchBudget, 0).Fig8(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().ablationDisambiguation(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
@@ -165,21 +152,21 @@ func BenchmarkSchemeOverhead(b *testing.B) {
 
 func BenchmarkAblationDelayedAllocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationDelayedAllocation(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().ablationDelayedAllocation(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
 func BenchmarkAblationMSHR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationMSHR(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().ablationMSHR(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }
 
 func BenchmarkAblationPrefetch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := newRunner().AblationPrefetch(benchCtx)
-		rows(b, t, err, 13)
+		ts, err := newBenchEngine().ablationPrefetch(benchCtx)
+		rows(b, ts, err, 13)
 	}
 }

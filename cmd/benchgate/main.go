@@ -7,10 +7,10 @@
 //	go test ./internal/ooo -run '^$' -bench BenchmarkKernelSteadyState \
 //	    -benchtime 2s -count 3 | go run ./cmd/benchgate -frac 0.8
 //
-// and the sweep-throughput gate reuses the same binary against the harness
+// and the sweep-throughput gate reuses the same binary against the sweep
 // record:
 //
-//	go test ./internal/harness -run '^$' -bench BenchmarkSweepFig8Mix \
+//	go test . -run '^$' -bench BenchmarkSweepFig8Mix \
 //	    -benchtime 1x -count 3 | go run ./cmd/benchgate \
 //	    -baseline BENCH_harness.json -bench BenchmarkSweepFig8Mix \
 //	    -metric points/s -floorkey sweep_points_per_sec_floor -frac 0.7

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"prisim/internal/asm"
 	"prisim/internal/core"
-	"prisim/internal/harness"
 	"prisim/internal/ooo"
 	"prisim/internal/stats"
 	"prisim/internal/workloads"
@@ -33,11 +35,64 @@ var (
 // execution while wall-clock scales with cores. An Engine is safe for use
 // from multiple goroutines and is meant to be created once and reused.
 type Engine struct {
-	runner *harness.Runner
+	budget budget     // per-run budget, zero fields resolved to the defaults
+	s      *shared    // caches and worker pool, shared by every view (see at, ProgressView)
+	view   *viewState // progress accounting; ProgressView makes a new one
+}
+
+// budget bounds one measurement run, mirroring the paper's fast-forward +
+// measure methodology (scaled down from 400M+100M to simulator-friendly
+// sizes): ff instructions are skipped, then run instructions measured.
+type budget struct{ ff, run uint64 }
+
+// runKey identifies one timing run: the workload, the whole machine
+// configuration and the budget. ooo.Config is comparable, so every field of
+// the machine is part of the key and no two distinct machines can alias.
+type runKey struct {
+	bench  string
+	cfg    ooo.Config
+	budget budget
+}
+
+// shared is the Engine state common to every view: the worker pool and
+// both singleflight caches.
+type shared struct {
+	sem      chan struct{}                  // bounded worker pool
+	runs     *memo[runKey, *Result]         // timing results, unbounded
+	snaps    *memo[snapKey, *ooo.WarmState] // fast-forward snapshots (see snapshot.go)
+	ffInstrs atomic.Uint64                  // instructions fast-forwarded by snapshot builds
+}
+
+// viewState is a view's progress accounting: total counts every run
+// requested through the view, done those that succeeded, however they
+// were served. Only views made by ProgressView have a hook to report to.
+type viewState struct {
+	mu    sync.Mutex
+	hook  func(done, total int) // guarded by mu
+	done  int                   // guarded by mu
+	total int                   // guarded by mu
+}
+
+// request counts one request against the view.
+func (v *viewState) request() {
+	v.mu.Lock()
+	v.total++
+	v.mu.Unlock()
+}
+
+// resolved marks one of the view's requests successful and fires the hook
+// under the view lock, so reported (done, total) pairs are monotonic.
+func (v *viewState) resolved() {
+	v.mu.Lock()
+	v.done++
+	if v.hook != nil {
+		v.hook(v.done, v.total)
+	}
+	v.mu.Unlock()
 }
 
 type engineSettings struct {
-	budget  harness.Budget
+	budget  budget
 	workers int
 }
 
@@ -49,9 +104,7 @@ type EngineOption func(*engineSettings)
 // the paper-methodology defaults (20k + 80k). Options.FastForward/Run
 // override this per call.
 func WithBudget(fastForward, run uint64) EngineOption {
-	return func(s *engineSettings) {
-		s.budget = harness.Budget{FastForward: fastForward, Run: run}
-	}
+	return func(s *engineSettings) { s.budget = budget{fastForward, run} }
 }
 
 // WithParallelism bounds how many simulations run concurrently; n <= 0
@@ -66,21 +119,41 @@ func NewEngine(opts ...EngineOption) *Engine {
 	for _, o := range opts {
 		o(&s)
 	}
-	return &Engine{runner: harness.NewParallelRunner(s.budget, s.workers)}
+	if s.workers <= 0 {
+		s.workers = runtime.GOMAXPROCS(0)
+	}
+	e := &Engine{
+		budget: budget{DefaultFastForward, DefaultRun},
+		s: &shared{
+			sem:   make(chan struct{}, s.workers),
+			runs:  newMemo[runKey, *Result](0, nil),
+			snaps: newMemo[snapKey](maxSnapshots, (*ooo.WarmState).Bytes),
+		},
+		view: &viewState{},
+	}
+	return e.at(s.budget)
 }
 
 // Budget reports the Engine's default per-run budget with zero WithBudget
 // fields resolved to the defaults: the budget a Simulate call with zero
 // Options.FastForward/Run runs at.
 func (e *Engine) Budget() (fastForward, run uint64) {
-	return e.runner.Budget.FastForward, e.runner.Budget.Run
+	return e.budget.ff, e.budget.run
 }
 
-// runnerFor returns the Engine's runner viewed at o's per-call budget
-// (zero fields fall back to the Engine default). All views share one cache
-// and worker pool.
-func (e *Engine) runnerFor(o Options) *harness.Runner {
-	return e.runner.WithBudget(harness.Budget{FastForward: o.FastForward, Run: o.Run})
+// at returns a view of e that simulates at b, zero fields falling back to
+// e's budget, while sharing e's caches, worker pool and progress view. The
+// budget is part of the cache key, so views never alias each other's
+// results.
+func (e *Engine) at(b budget) *Engine {
+	v := *e
+	if b.ff != 0 {
+		v.budget.ff = b.ff
+	}
+	if b.run != 0 {
+		v.budget.run = b.run
+	}
+	return &v
 }
 
 // resolveMachine validates the machine-selection half of o and builds the
@@ -114,7 +187,8 @@ func resolveOptions(o Options) (workloads.Workload, ooo.Config, error) {
 	return w, cfg, err
 }
 
-// machineFor builds the complete machine configuration o selects.
+// machineFor builds the complete machine configuration o selects and
+// rejects one the pipeline cannot simulate.
 func machineFor(o Options) (ooo.Config, error) {
 	cfg, err := resolveMachine(o)
 	if err != nil {
@@ -130,42 +204,14 @@ func machineFor(o Options) (ooo.Config, error) {
 	}
 	cfg = cfg.WithPolicy(pol)
 	if o.PhysRegs > 0 {
-		if o.PhysRegs < 32 {
-			return cfg, fmt.Errorf("prisim: %w: PhysRegs must be at least 32 (one per architected register), got %d", ErrInvalidOptions, o.PhysRegs)
-		}
 		cfg = cfg.WithPRs(o.PhysRegs)
 	}
 	cfg.InlineAtRename = o.RenameInline
 	cfg.DelayedAllocation = o.DelayedAllocation
-	return cfg, nil
-}
-
-// toResult converts a harness result into the public form.
-func toResult(hr *harness.Result, cfg ooo.Config) Result {
-	return Result{
-		Benchmark:      hr.Bench,
-		Machine:        cfg.Name,
-		IntPRs:         cfg.Rename.IntPRs,
-		FPPRs:          cfg.Rename.FPPRs,
-		IPC:            hr.IPC,
-		Cycles:         hr.Cycles,
-		Committed:      hr.Committed,
-		IntOccupancy:   hr.IntOccupancy,
-		FPOccupancy:    hr.FPOccupancy,
-		AllocToWrite:   hr.AllocToWrite,
-		WriteToRead:    hr.WriteToRead,
-		ReadToRelease:  hr.ReadToRelease,
-		InlineFraction: hr.InlineFraction,
-		MispredictRate: hr.Mispredict,
-		BranchResolved: hr.BranchResolved,
-		DL1MissRate:    hr.DL1Miss,
-		L2MissRate:     hr.L2Miss,
-		Replays:        hr.Replays,
-		InlinedResults: hr.InlinedResults,
-		WAWSuppressed:  hr.WAWSuppressed,
-		DeferredFrees:  hr.DeferredFrees,
-		EarlyFrees:     hr.EarlyFrees,
+	if err := cfg.Check(); err != nil {
+		return cfg, fmt.Errorf("prisim: %w: %v", ErrInvalidOptions, err)
 	}
+	return cfg, nil
 }
 
 // Simulate runs one benchmark at one machine point and returns the result.
@@ -180,30 +226,251 @@ func (e *Engine) Simulate(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rr := e.runnerFor(o)
-	var hr *harness.Result
+	v := e.at(budget{o.FastForward, o.Run})
+	var res *Result
 	if o.PipeView != nil {
-		hr, _, err = harness.RunProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, rr.Budget, 0, o.PipeView)
+		res, _, err = runProgram(ctx, cfg, w.Build(0), w.Class == workloads.FP, v.budget, 0, o.PipeView)
 	} else {
-		hr, err = rr.RunCtx(ctx, w, cfg)
+		res, err = v.run(ctx, w, cfg)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res := toResult(hr, cfg)
-	res.Benchmark = w.Name // RunProgram leaves it empty
-	return res, nil
+	out := *res
+	out.Benchmark = w.Name // runProgram leaves it empty
+	return out, nil
+}
+
+// run simulates one benchmark on one machine configuration at e's budget,
+// memoized and deduplicated: concurrent calls for the same point block on
+// one simulation and share its result. The run is bounded by the worker
+// pool and aborts between instruction chunks when ctx is cancelled; a
+// cancelled flight is evicted so later calls retry it.
+func (e *Engine) run(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
+	e.view.request()
+	res, err := e.s.runs.do(ctx, runKey{w.Name, cfg, e.budget},
+		func() (*Result, error) { return e.simulate(ctx, w, cfg) })
+	if err == nil {
+		e.view.resolved()
+	}
+	return res, err
+}
+
+// ctxChunk is how many instructions execute between context checks.
+const ctxChunk = 16 * 1024
+
+// simulate performs one timing run inside a worker-pool slot, starting from
+// a clone of the workload's warm fast-forward snapshot: one functional
+// fast-forward per workload serves the whole sweep. warmFor runs before the
+// slot is acquired: a caller waiting on another flight's snapshot build
+// must not occupy a worker.
+func (e *Engine) simulate(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*Result, error) {
+	warm, err := e.warmFor(ctx, w, cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	if err := e.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer e.release()
+
+	var p *ooo.Pipeline
+	if warm != nil {
+		p = ooo.NewFromWarm(cfg, warm)
+	} else {
+		p = ooo.New(cfg, w.Build(0)) // FastForward 0: nothing to clone
+	}
+	if err := runChunked(ctx, p.Run, e.budget.run, nil); err != nil {
+		return nil, err
+	}
+	if err := haltedBefore(p, e.budget.ff); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	return buildResult(p, cfg, w.Name, w.Class == workloads.FP), nil
+}
+
+// runChunked drives a resumable budgeted phase (FastForward or Run) in
+// slices, checking ctx — and check, when non-nil (the program-sandbox
+// memory cap) — between slices so long runs stop promptly. It accounts the
+// instructions each slice actually retired — the commit stage can
+// overshoot a slice quota by up to width-1 — so the run stops at the same
+// cycle boundary a single phase(n) call would. A slice that falls short of
+// its quota means the program halted, abandoning the rest.
+func runChunked(ctx context.Context, phase func(uint64) uint64, n uint64, check func() error) error {
+	for n > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		c := uint64(ctxChunk)
+		if n < c {
+			c = n
+		}
+		got := phase(c)
+		if got < c || got >= n {
+			break
+		}
+		n -= got
+	}
+	if check != nil {
+		return check()
+	}
+	return nil
+}
+
+// buildResult snapshots a finished pipeline on machine cfg into a Result,
+// reporting the lifetime and PRI counters of the fp or integer register
+// class.
+func buildResult(p *ooo.Pipeline, cfg ooo.Config, bench string, fp bool) *Result {
+	st := p.Stats()
+	life := p.Renamer().IntStats()
+	if fp {
+		life = p.Renamer().FPStats()
+	}
+	aw, wr, rr := life.AvgPhases()
+	return &Result{
+		Benchmark:      bench,
+		Machine:        cfg.Name,
+		IntPRs:         cfg.Rename.IntPRs,
+		FPPRs:          cfg.Rename.FPPRs,
+		IPC:            st.IPC(),
+		Cycles:         st.Cycles,
+		Committed:      st.Committed,
+		IntOccupancy:   st.AvgIntOccupancy(),
+		FPOccupancy:    st.AvgFPOccupancy(),
+		AllocToWrite:   aw,
+		WriteToRead:    wr,
+		ReadToRelease:  rr,
+		InlineFraction: st.InlineFraction(),
+		MispredictRate: st.MispredictRate(),
+		BranchResolved: st.BranchResolved,
+		DL1MissRate:    p.Mem().DL1.MissRate(),
+		L2MissRate:     p.Mem().L2.MissRate(),
+		Replays:        st.Replays,
+		InlinedResults: life.InlinedResults,
+		WAWSuppressed:  life.WAWSuppressed,
+		DeferredFrees:  life.DeferredFrees,
+		EarlyFrees:     life.EarlyFrees,
+	}
 }
 
 // ErrMemLimit matches (via errors.Is) the failure of a SimulateProgram run
 // whose simulated machine footprint exceeded Options.MemLimit.
-var ErrMemLimit = harness.ErrMemLimit
+var ErrMemLimit = errors.New("simulated memory limit exceeded")
 
 // ErrHalted matches (via errors.Is) the failure of a Simulate or
 // SimulateProgram run whose measured window committed nothing because the
 // program halted during the fast-forward: Options.FastForward reached or
 // passed the program's last instruction.
-var ErrHalted = harness.ErrHalted
+var ErrHalted = errors.New("program halted before the measured window")
+
+// haltedBefore returns an error wrapping ErrHalted when p's run committed
+// nothing because its program halted within the ff-instruction
+// fast-forward, and nil otherwise.
+func haltedBefore(p *ooo.Pipeline, ff uint64) error {
+	if p.Stats().Committed > 0 || !p.Machine().Halted() {
+		return nil
+	}
+	return fmt.Errorf("%w: it halts after %d instructions, fast-forward %d", ErrHalted, p.Machine().Seq(), ff)
+}
+
+// runProgram runs an arbitrary assembled program through the timing
+// pipeline, uncached (the caller owns the program, so there is no key to
+// memoize under). The budget is used verbatim — ff 0 skips nothing and run
+// bounds committed instructions, stopping early if the program halts; a
+// fast-forward that reaches the halt fails the run with an error wrapping
+// ErrHalted. It honours ctx between instruction chunks, optionally streams
+// an O3PipeView trace to pipeview, and returns the run's Result (with no
+// Benchmark) alongside the program's console output. memLimit > 0 caps the
+// simulated machine's resident footprint (checked between chunks, so a run
+// can overshoot by at most one chunk's worth of page touches); exceeding it
+// fails the run with an error wrapping ErrMemLimit.
+func runProgram(ctx context.Context, cfg ooo.Config, prog *asm.Program, fp bool, b budget, memLimit uint64, pipeview io.Writer) (*Result, []byte, error) {
+	p := ooo.New(cfg, prog)
+	if pipeview != nil {
+		p.SetPipeView(pipeview)
+	}
+	var check func() error
+	if memLimit > 0 {
+		check = func() error {
+			if fb := p.Machine().FootprintBytes(); fb > memLimit {
+				return fmt.Errorf("%w: footprint %d bytes > limit %d", ErrMemLimit, fb, memLimit)
+			}
+			return nil
+		}
+	}
+	if err := runChunked(ctx, p.FastForward, b.ff, check); err != nil {
+		return nil, nil, err
+	}
+	if err := runChunked(ctx, p.Run, b.run, check); err != nil {
+		return nil, nil, err
+	}
+	if err := haltedBefore(p, b.ff); err != nil {
+		return nil, nil, err
+	}
+	if pipeview != nil {
+		p.FlushPipeView()
+	}
+	return buildResult(p, cfg, "", fp), p.Machine().Output(), nil
+}
+
+// grid runs the workloads × configs matrix on the worker pool and returns
+// res[i][j], the result of ws[i] on cfgs[j]. Points are submitted workload
+// by workload: every point of one workload shares a fast-forward snapshot,
+// so the first point's build serves its siblings the moment it completes.
+// Drivers build their rows from the returned slice, so tables are
+// byte-identical to a single-worker run.
+func (e *Engine) grid(ctx context.Context, ws []workloads.Workload, cfgs ...ooo.Config) ([][]*Result, error) {
+	res := make([][]*Result, len(ws))
+	for i := range res {
+		res[i] = make([]*Result, len(cfgs))
+	}
+	err := fanOut(len(ws)*len(cfgs), func(k int) error {
+		i, j := k/len(cfgs), k%len(cfgs)
+		var err error
+		res[i][j], err = e.run(ctx, ws[i], cfgs[j])
+		return err
+	})
+	return res, err
+}
+
+// fanOut runs fn(i) for i in [0, n), each on its own goroutine, and returns
+// the first error.
+func fanOut(n int, fn func(i int) error) error {
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			if err := fn(i); err != nil {
+				once.Do(func() { first = err })
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// acquire takes a worker-pool slot, failing with ctx's error if ctx is
+// cancelled first. Every acquire is paired with a release.
+func (e *Engine) acquire(ctx context.Context) error {
+	select {
+	case e.s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a slot taken by acquire.
+func (e *Engine) release() { <-e.s.sem }
 
 // Program is an assembled PRISC-64 program runnable by SimulateProgram.
 type Program struct {
@@ -272,12 +539,11 @@ func (e *Engine) SimulateProgram(ctx context.Context, p *Program, o Options) (Pr
 	if run == 0 {
 		run = math.MaxUint64 / 2 // run to halt
 	}
-	b := harness.Budget{FastForward: o.FastForward, Run: run}
-	hr, out, err := harness.RunProgram(ctx, cfg, p.prog, false, b, o.MemLimit, o.PipeView)
+	res, out, err := runProgram(ctx, cfg, p.prog, false, budget{o.FastForward, run}, o.MemLimit, o.PipeView)
 	if err != nil {
 		return ProgramResult{}, err
 	}
-	return ProgramResult{Result: toResult(hr, cfg), Output: out}, nil
+	return ProgramResult{Result: *res, Output: out}, nil
 }
 
 // MachineJSON renders the machine configuration o selects as JSON — the
@@ -306,9 +572,9 @@ func (t Table) String() string {
 
 // ExperimentNames lists the valid Experiment names in canonical order.
 func ExperimentNames() []string {
-	names := make([]string, len(harness.Experiments))
-	for i, x := range harness.Experiments {
-		names[i] = x.Name
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
 	}
 	return names
 }
@@ -319,19 +585,10 @@ func ExperimentNames() []string {
 // repeated calls produce identical tables regardless of parallelism.
 // o supplies the per-run budget (other Options fields are ignored).
 func (e *Engine) ExperimentTables(ctx context.Context, name string, o Options) ([]Table, error) {
-	for _, x := range harness.Experiments {
-		if x.Name != name {
-			continue
+	for _, x := range experiments {
+		if x.name == name {
+			return x.run(e.at(budget{o.FastForward, o.Run}), ctx)
 		}
-		ts, err := x.Run(e.runnerFor(o), ctx)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Table, 0, len(ts))
-		for _, t := range ts {
-			out = append(out, Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows})
-		}
-		return out, nil
 	}
 	return nil, fmt.Errorf("prisim: %w: %q (have: %s)",
 		ErrUnknownExperiment, name, strings.Join(ExperimentNames(), " "))
@@ -353,19 +610,11 @@ func (e *Engine) Experiment(ctx context.Context, name string, o Options) (string
 	return sb.String(), nil
 }
 
-// WriteReport regenerates the full experiment suite — every experiment
-// ExperimentNames lists plus the executable shape checklist — as a
-// self-contained markdown report on w, stopping at the first experiment
-// that fails. o supplies the per-run budget.
-func (e *Engine) WriteReport(ctx context.Context, w io.Writer, o Options) error {
-	return e.runnerFor(o).WriteReport(ctx, w)
-}
-
 // RunsExecuted reports how many distinct simulations the Engine has
 // performed since creation; cache hits and deduplicated concurrent requests
 // do not count. It exists so callers (and the race tests) can observe
 // singleflight behaviour.
-func (e *Engine) RunsExecuted() int { return e.runner.RunsExecuted() }
+func (e *Engine) RunsExecuted() int { return e.s.runs.stats().runs }
 
 // CacheStats is a snapshot of the Engine's memoization counters.
 type CacheStats struct {
@@ -387,15 +636,15 @@ type CacheStats struct {
 // since creation, across every view of the Engine. Services built on a
 // shared Engine export these counters to show request coalescing.
 func (e *Engine) CacheStats() CacheStats {
-	cs := e.runner.CacheStats()
+	runs, snaps := e.s.runs.stats(), e.s.snaps.stats()
 	return CacheStats{
-		Executed:               cs.Executed,
-		Hits:                   cs.Hits,
-		Coalesced:              cs.Coalesced,
-		SnapshotBuilds:         cs.SnapshotBuilds,
-		SnapshotHits:           cs.SnapshotHits,
-		SnapshotBytes:          cs.SnapshotBytes,
-		SnapshotFFInstructions: cs.SnapshotFFInstructions,
+		Executed:               runs.runs,
+		Hits:                   runs.hits,
+		Coalesced:              runs.joins,
+		SnapshotBuilds:         snaps.runs,
+		SnapshotHits:           snaps.hits + snaps.joins,
+		SnapshotBytes:          snaps.bytes,
+		SnapshotFFInstructions: e.s.ffInstrs.Load(),
 	}
 }
 
@@ -409,5 +658,7 @@ func (e *Engine) CacheStats() CacheStats {
 // into the Engine. This is how a server streams per-request progress while
 // every request shares one Engine.
 func (e *Engine) ProgressView(fn func(done, total int)) *Engine {
-	return &Engine{runner: e.runner.ProgressView(fn)}
+	v := *e
+	v.view = &viewState{hook: fn}
+	return &v
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"prisim/internal/harness"
 	"prisim/internal/ooo"
 	"prisim/internal/workloads"
 )
@@ -43,6 +42,20 @@ func TestEngineSimulate(t *testing.T) {
 func TestEngineErrorSentinels(t *testing.T) {
 	eng := fastEngine()
 	ctx := context.Background()
+	// badMachine simulates a custom machine the pipeline cannot run, which
+	// must fail up front instead of panicking inside the run.
+	badMachine := func(edit func(*ooo.Config)) func() error {
+		return func() error {
+			cfg := ooo.Width4()
+			edit(&cfg)
+			data, err := json.Marshal(cfg)
+			if err != nil {
+				return err
+			}
+			_, err = eng.Simulate(ctx, Options{Benchmark: "gzip", MachineJSON: data})
+			return err
+		}
+	}
 	cases := []struct {
 		name string
 		do   func() error
@@ -68,6 +81,10 @@ func TestEngineErrorSentinels(t *testing.T) {
 			_, err := eng.Simulate(ctx, Options{Benchmark: "gzip", MachineJSON: []byte("{")})
 			return err
 		}, ErrInvalidOptions},
+		{"machine with ROB 0", badMachine(func(c *ooo.Config) { c.ROBSize = 0 }), ErrInvalidOptions},
+		{"machine with LSQ 0", badMachine(func(c *ooo.Config) { c.LSQSize = 0 }), ErrInvalidOptions},
+		{"machine with no integer ALUs", badMachine(func(c *ooo.Config) { c.FUCount[0] = 0 }), ErrInvalidOptions},
+		{"machine with IntPRs 16", badMachine(func(c *ooo.Config) { c.Rename.IntPRs = 16 }), ErrInvalidOptions},
 		{"unknown experiment", func() error {
 			_, err := eng.Experiment(ctx, "fig99", Options{})
 			return err
@@ -318,11 +335,11 @@ func TestMachineJSONCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := workloads.ByName("mcf")
-	hr, _, err := harness.RunProgram(ctx, cfg, w.Build(0), false, harness.Budget{FastForward: 3000, Run: 6000}, 0, nil)
+	uncached, _, err := runProgram(ctx, cfg, w.Build(0), false, budget{3000, 6000}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := toResult(hr, cfg)
+	want := *uncached
 	want.Benchmark = "mcf"
 	if got != want {
 		t.Errorf("cached MachineJSON point differs from an uncached run:\n got %+v\nwant %+v", got, want)
@@ -354,32 +371,29 @@ func TestMachineJSONCached(t *testing.T) {
 	}
 }
 
-// TestPanickingPointLeavesNoFlight checks that a point whose pipeline
-// panics (here a custom machine with no ROB) leaves no in-flight cache
-// entry behind: the repeat panics again instead of waiting forever.
+// TestPanickingPointLeavesNoFlight checks that a point whose run panics
+// leaves no in-flight cache entry behind: the repeat panics again instead
+// of waiting forever, and a later Simulate of the point runs normally.
 func TestPanickingPointLeavesNoFlight(t *testing.T) {
-	cfg := ooo.Width4()
-	cfg.ROBSize = 0
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := fastEngine()
-	simulate := func() (p any) {
-		defer func() {
-			if r := recover(); r != nil {
-				p = r
-			}
-		}()
+	w, _ := workloads.ByName("gzip")
+	key := runKey{w.Name, ooo.Width4(), eng.budget}
+	do := func() (p any) {
+		defer func() { p = recover() }()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := eng.Simulate(ctx, Options{Benchmark: "gzip", MachineJSON: data})
+		_, err := eng.s.runs.do(ctx, key, func() (*Result, error) { panic("point panicked") })
 		return err
 	}
 	for i := 0; i < 2; i++ {
-		if p := simulate(); p != "ooo: nonpositive structure size" {
-			t.Fatalf("call %d: got %v, want the pipeline's panic", i, p)
+		if p := do(); p != "point panicked" {
+			t.Fatalf("call %d: got %v, want the run's panic", i, p)
 		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := eng.Simulate(ctx, Options{Benchmark: "gzip"}); err != nil {
+		t.Fatalf("Simulate after the panicked flights: %v", err)
 	}
 }
 

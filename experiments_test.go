@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -13,44 +13,50 @@ import (
 	"prisim/internal/workloads"
 )
 
-// tinyBudget keeps the unit tests fast; experiment shape is asserted, not
-// paper-grade numbers.
-var tinyBudget = Budget{FastForward: 500, Run: 4000}
-
 var bg = context.Background()
 
+// mustRun simulates one point on e, failing the test on error.
+func mustRun(t testing.TB, e *Engine, w workloads.Workload, cfg ooo.Config) *Result {
+	t.Helper()
+	res, err := e.run(bg, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunnerCaching(t *testing.T) {
-	r := NewRunner(tinyBudget)
+	r := fastEngine()
 	w, _ := workloads.ByName("gzip")
-	a := r.Run(w, ooo.Width4())
-	b := r.Run(w, ooo.Width4())
+	a := mustRun(t, r, w, ooo.Width4())
+	b := mustRun(t, r, w, ooo.Width4())
 	if a != b {
 		t.Error("identical runs not cached")
 	}
 	if got := r.RunsExecuted(); got != 1 {
 		t.Errorf("RunsExecuted = %d after one unique point, want 1", got)
 	}
-	c := r.Run(w, ooo.Width4().WithPolicy(core.PolicyPRIRcCkpt))
+	c := mustRun(t, r, w, ooo.Width4().WithPolicy(core.PolicyPRIRcCkpt))
 	if c == a {
 		t.Error("different policies shared a cache entry")
 	}
 	cons := ooo.Width4()
 	cons.ConservativeDisambiguation = true
-	if r.Run(w, cons) == a {
+	if mustRun(t, r, w, cons) == a {
 		t.Error("disambiguation modes shared a cache entry")
 	}
 }
 
 func TestBudgetViewsShareCache(t *testing.T) {
-	r := NewRunner(tinyBudget)
+	r := fastEngine()
 	w, _ := workloads.ByName("gzip")
-	a := r.Run(w, ooo.Width4())
+	a := mustRun(t, r, w, ooo.Width4())
 	// Same budget through a view: must hit the same entry.
-	if r.WithBudget(tinyBudget).Run(w, ooo.Width4()) != a {
+	if mustRun(t, r.at(budget{500, 4000}), w, ooo.Width4()) != a {
 		t.Error("same-budget view missed the shared cache")
 	}
 	// A different budget is a different point.
-	b := r.WithBudget(Budget{FastForward: 500, Run: 2000}).Run(w, ooo.Width4())
+	b := mustRun(t, r.at(budget{500, 2000}), w, ooo.Width4())
 	if b == a {
 		t.Error("different budgets shared a cache entry")
 	}
@@ -59,11 +65,11 @@ func TestBudgetViewsShareCache(t *testing.T) {
 	}
 }
 
-// TestSingleflightDeduplication hammers one Runner with 16 goroutines all
+// TestSingleflightDeduplication hammers one Engine with 16 goroutines all
 // requesting the same small set of points and asserts each point simulated
 // exactly once. Run under -race this also exercises the cache's locking.
 func TestSingleflightDeduplication(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 200, Run: 1000}, 4)
+	r := NewEngine(WithBudget(200, 1000), WithParallelism(4))
 	w1, _ := workloads.ByName("gzip")
 	w2, _ := workloads.ByName("mcf")
 	cfgs := []ooo.Config{
@@ -80,7 +86,7 @@ func TestSingleflightDeduplication(t *testing.T) {
 			defer wg.Done()
 			for _, w := range []workloads.Workload{w1, w2} {
 				for _, cfg := range cfgs {
-					res, err := r.RunCtx(bg, w, cfg)
+					res, err := r.run(bg, w, cfg)
 					if err != nil {
 						t.Error(err)
 						return
@@ -106,12 +112,12 @@ func TestSingleflightDeduplication(t *testing.T) {
 
 func TestRunCtxCancellation(t *testing.T) {
 	// Already-cancelled context: no simulation happens.
-	r := NewRunner(tinyBudget)
+	r := fastEngine()
 	w, _ := workloads.ByName("gzip")
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := r.RunCtx(ctx, w, ooo.Width4()); err != context.Canceled {
-		t.Errorf("cancelled RunCtx error = %v", err)
+	if _, err := r.run(ctx, w, ooo.Width4()); err != context.Canceled {
+		t.Errorf("cancelled run error = %v", err)
 	}
 	if r.RunsExecuted() != 0 {
 		t.Error("cancelled context still simulated")
@@ -119,15 +125,15 @@ func TestRunCtxCancellation(t *testing.T) {
 
 	// Mid-run cancellation: a budget far beyond the context deadline must
 	// abort between chunks, and the point must remain retryable.
-	big := NewRunner(Budget{FastForward: 100, Run: 50_000_000})
+	big := NewEngine(WithBudget(100, 50_000_000))
 	ctx2, cancel2 := context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel2()
-	if _, err := big.RunCtx(ctx2, w, ooo.Width4()); err == nil {
+	if _, err := big.run(ctx2, w, ooo.Width4()); err == nil {
 		t.Fatal("mid-run cancellation did not surface")
 	}
 	// The cancelled flight was evicted; a fresh context retries cleanly.
-	small := big.WithBudget(Budget{FastForward: 100, Run: 1000})
-	if _, err := small.RunCtx(bg, w, ooo.Width4()); err != nil {
+	small := big.at(budget{100, 1000})
+	if _, err := small.run(bg, w, ooo.Width4()); err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 }
@@ -138,20 +144,20 @@ func TestRunCtxCancellation(t *testing.T) {
 // retry as the new owner under its own live context, and succeed — and the
 // cancelled attempt must not be counted as executed.
 func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 100, Run: 3_000_000}, 4)
+	r := NewEngine(WithBudget(100, 3_000_000), WithParallelism(4))
 	w, _ := workloads.ByName("gzip")
 	cfg := ooo.Width4()
 
 	ownerCtx, cancelOwner := context.WithCancel(bg)
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, err := r.RunCtx(ownerCtx, w, cfg)
+		_, err := r.run(ownerCtx, w, cfg)
 		ownerErr <- err
 	}()
 
 	// Wait until the owner has installed its in-flight entry, then attach
 	// a waiter with a context that stays live.
-	key := runKey{w.Name, cfg, r.Budget}
+	key := runKey{w.Name, cfg, r.budget}
 	for {
 		r.s.runs.mu.Lock()
 		_, inFlight := r.s.runs.slots[key]
@@ -164,7 +170,7 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 	waiterRes := make(chan *Result, 1)
 	waiterErr := make(chan error, 1)
 	go func() {
-		res, err := r.RunCtx(bg, w, cfg)
+		res, err := r.run(bg, w, cfg)
 		waiterRes <- res
 		waiterErr <- err
 	}()
@@ -193,7 +199,7 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 		t.Errorf("RunsExecuted = %d after cancel+retry, want 1", got)
 	}
 	// The cache now holds a completed entry: another request is a pure hit.
-	if _, err := r.RunCtx(bg, w, cfg); err != nil {
+	if _, err := r.run(bg, w, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cs := r.CacheStats(); cs.Hits < 1 || cs.Executed != 1 {
@@ -205,7 +211,7 @@ func TestCancelledFlightEvictionWakesWaiter(t *testing.T) {
 // every request it makes, instant cache hits included, and a second view is
 // independent.
 func TestProgressView(t *testing.T) {
-	r := NewRunner(tinyBudget)
+	r := fastEngine()
 	w4, w8 := ooo.Width4(), ooo.Width8()
 	w, _ := workloads.ByName("gzip")
 
@@ -216,14 +222,14 @@ func TestProgressView(t *testing.T) {
 		got = append(got, [2]int{done, total})
 		mu.Unlock()
 	})
-	v.Run(w, w4)
-	v.Run(w, w8)
-	v.Run(w, w4) // completed-entry hit: still a request of the view
+	mustRun(t, v, w, w4)
+	mustRun(t, v, w, w8)
+	mustRun(t, v, w, w4) // completed-entry hit: still a request of the view
 	if want := [][2]int{{1, 1}, {2, 2}, {3, 3}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("view progress events = %v, want %v", got, want)
 	}
 	// The budget view must keep reporting to the same hook.
-	v.WithBudget(Budget{FastForward: 200, Run: 900}).Run(w, w4)
+	mustRun(t, v.at(budget{200, 900}), w, w4)
 	if len(got) != 4 || got[3] != [2]int{4, 4} {
 		t.Errorf("after budget view, events = %v", got)
 	}
@@ -231,7 +237,7 @@ func TestProgressView(t *testing.T) {
 	// reports 1/1, so a warm experiment reads N/N.
 	var other [][2]int
 	v2 := r.ProgressView(func(done, total int) { other = append(other, [2]int{done, total}) })
-	v2.Run(w, w4)
+	mustRun(t, v2, w, w4)
 	if want := [][2]int{{1, 1}}; !reflect.DeepEqual(other, want) {
 		t.Errorf("second view events = %v, want %v", other, want)
 	}
@@ -244,25 +250,24 @@ func TestProgressView(t *testing.T) {
 // regenerated on a multi-worker pool is byte-identical to the single-worker
 // (serial order) run.
 func TestParallelMatchesSerial(t *testing.T) {
-	b := Budget{FastForward: 300, Run: 1500}
-	serial, err := NewParallelRunner(b, 1).Fig8(bg)
+	serial, err := NewEngine(WithBudget(300, 1500), WithParallelism(1)).fig8(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewParallelRunner(b, 8).Fig8(bg)
+	parallel, err := NewEngine(WithBudget(300, 1500), WithParallelism(8)).fig8(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.String() != parallel.String() {
+	if serial[0].String() != parallel[0].String() {
 		t.Errorf("parallel fig8 differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-			serial.String(), parallel.String())
+			serial[0].String(), parallel[0].String())
 	}
 }
 
 func TestRunProducesSaneResult(t *testing.T) {
-	r := NewRunner(tinyBudget)
+	r := fastEngine()
 	w, _ := workloads.ByName("bzip2")
-	res := r.Run(w, ooo.Width4())
+	res := mustRun(t, r, w, ooo.Width4())
 	if res.IPC <= 0 || res.IPC > 4 {
 		t.Errorf("IPC = %v", res.IPC)
 	}
@@ -279,8 +284,7 @@ func TestRunProducesSaneResult(t *testing.T) {
 
 func TestRunProgram(t *testing.T) {
 	w, _ := workloads.ByName("gzip")
-	res, _, err := RunProgram(bg, ooo.Width4(), w.Build(0), false,
-		Budget{FastForward: 100, Run: 2000}, 0, nil)
+	res, _, err := runProgram(bg, ooo.Width4(), w.Build(0), false, budget{100, 2000}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +294,11 @@ func TestRunProgram(t *testing.T) {
 }
 
 func TestTable1Static(t *testing.T) {
-	out := Table1().String()
+	ts, err := fastEngine().table1(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ts[0].String()
 	for _, want := range []string{"ROB", "512", "scheduler", "32"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table 1 missing %q:\n%s", want, out)
@@ -299,11 +307,12 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestFig2Shapes(t *testing.T) {
-	r := NewRunner(tinyBudget)
-	intT, fpT, err := r.Fig2(bg)
+	r := fastEngine()
+	ts, err := r.fig2(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	intT, fpT := ts[0], ts[1]
 	if len(intT.Rows) != 13 || len(fpT.Rows) != 14 {
 		t.Errorf("fig2 rows: %d int, %d fp", len(intT.Rows), len(fpT.Rows))
 	}
@@ -319,9 +328,9 @@ func TestSpeedupTableShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r := NewRunner(Budget{FastForward: 500, Run: 2500})
+	r := NewEngine(WithBudget(500, 2500))
 	// Restrict to a subset by running the full Fig10 at a tiny budget.
-	tb, err := r.Fig10(bg, 4)
+	tb, err := r.fig10(bg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +350,8 @@ func TestFig9Normalization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r := NewRunner(Budget{FastForward: 200, Run: 1500})
-	tb, err := r.Fig9(bg, 4)
+	r := NewEngine(WithBudget(200, 1500))
+	tb, err := r.fig9(bg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +367,11 @@ func TestFig9Normalization(t *testing.T) {
 
 func TestExperimentCancellationMidSweep(t *testing.T) {
 	// A sweep large enough that cancellation lands mid-flight.
-	r := NewRunner(Budget{FastForward: 2000, Run: 50_000})
+	r := NewEngine(WithBudget(2000, 50_000))
 	ctx, cancel := context.WithCancel(bg)
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Fig8(ctx)
+		_, err := r.fig8(ctx)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -390,8 +399,8 @@ func TestShapeChecksMostlyPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r := NewRunner(Budget{FastForward: 4000, Run: 10000})
-	checks, err := r.CheckShapes(bg)
+	r := NewEngine(WithBudget(4000, 10000))
+	checks, err := r.checkShapes(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,10 +409,10 @@ func TestShapeChecksMostlyPass(t *testing.T) {
 	}
 	pass := 0
 	for _, c := range checks {
-		if c.Pass {
+		if c.pass {
 			pass++
 		} else {
-			t.Logf("shape check failed (may be budget noise): %s — %s", c.Name, c.Note)
+			t.Logf("shape check failed (may be budget noise): %s — %s", c.name, c.note)
 		}
 	}
 	// At a reduced budget a couple of checks can be noisy, but the bulk
@@ -417,9 +426,9 @@ func TestWriteReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r := NewRunner(Budget{FastForward: 300, Run: 1200})
+	r := NewEngine(WithBudget(300, 1200))
 	var sb strings.Builder
-	if err := r.WriteReport(bg, &sb); err != nil {
+	if err := r.WriteReport(bg, &sb, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -429,15 +438,15 @@ func TestWriteReport(t *testing.T) {
 		}
 	}
 	// Every registered experiment's tables are in the report (re-running
-	// them here is served from the Runner's cache).
-	for _, e := range Experiments {
-		tables, err := e.Run(r, bg)
+	// them here is served from the Engine's cache).
+	for _, x := range experiments {
+		tables, err := x.run(r, bg)
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+			t.Fatalf("%s: %v", x.name, err)
 		}
 		for _, tb := range tables {
 			if !strings.Contains(out, tb.Title) {
-				t.Errorf("report missing %s table %q", e.Name, tb.Title)
+				t.Errorf("report missing %s table %q", x.name, tb.Title)
 			}
 		}
 	}

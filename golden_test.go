@@ -4,8 +4,30 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
+
+	"prisim/internal/core"
+	"prisim/internal/ooo"
+	"prisim/internal/workloads"
 )
+
+// Golden determinism fingerprints, captured from the kernel before the
+// event wheel. The event wheel, dynInst recycling, the intrusive ready
+// queue, and the page-translation cache are pure mechanical optimizations:
+// every experiment table and every statistic must stay bit-identical. If a
+// kernel change legitimately alters timing semantics, recapture with
+//
+//	go test . -run TestGolden -v
+//
+// and say so in the commit message.
+const (
+	goldenFig8Hash = "9bb0c24a2354f18b25ba333e0a3d5c25b4c50711d63c587300a69ef5b9eba2ff"
+
+	goldenGzipBasePRI = "218670e9df333ee5751bd891caebf85040d8fc5d06bca4bb6c3489748aa234ae"
+)
+
+var goldenBudget = budget{2000, 8000}
 
 // goldenExperiments pins the rendered output of every experiment at
 // WithBudget(300, 1500): a refactor of row assembly, the experiment registry
@@ -43,9 +65,61 @@ func TestGoldenAllExperiments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		h := sha256.Sum256([]byte(out))
-		if got := hex.EncodeToString(h[:]); got != goldenExperiments[name] {
+		if got := sha(out); got != goldenExperiments[name] {
 			t.Errorf("%s diverged from golden output:\ngot  %s\nwant %s\n%s", name, got, goldenExperiments[name], out)
 		}
+	}
+}
+
+// statsFingerprint renders every counter the simulator accumulates — pipeline
+// stats, both register classes' lifetime stats, occupancy, and cache/predictor
+// rates — into one canonical string.
+func statsFingerprint(p *ooo.Pipeline) string {
+	st := p.Stats()
+	return fmt.Sprintf("stats=%+v\nint=%+v\nfp=%+v\ndl1=%v l2=%v\n",
+		*st, *p.Renamer().IntStats(), *p.Renamer().FPStats(),
+		p.Mem().DL1.MissRate(), p.Mem().L2.MissRate())
+}
+
+func sha(s string) string {
+	h := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(h[:])
+}
+
+// TestGoldenFig8Table regenerates the paper's Figure 8 table serially at a
+// fixed budget and asserts the rendered output is bit-identical to the
+// recorded pre-rewrite kernel.
+func TestGoldenFig8Table(t *testing.T) {
+	ts, err := NewEngine(WithBudget(goldenBudget.ff, goldenBudget.run), WithParallelism(1)).fig8(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(ts[0].String()); got != goldenFig8Hash {
+		t.Errorf("fig8 table diverged from golden kernel output:\ngot  %s\nwant %s\ntable:\n%s",
+			got, goldenFig8Hash, ts[0].String())
+	}
+}
+
+// TestGoldenFullStats runs one benchmark per machine/policy corner and checks
+// the complete Stats structs (not just table-rounded values) bit for bit.
+func TestGoldenFullStats(t *testing.T) {
+	w, ok := workloads.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip workload missing")
+	}
+	var fp string
+	for _, cfg := range []ooo.Config{
+		ooo.Width4(),
+		ooo.Width4().WithPolicy(core.PolicyPRIRcCkpt),
+		ooo.Width8().WithPolicy(core.PolicyPRIPlusER),
+	} {
+		p := ooo.New(cfg, w.Build(0))
+		p.FastForward(goldenBudget.ff)
+		p.Run(goldenBudget.run)
+		fp += cfg.Name + "/" + cfg.Rename.Policy.Name() + "\n" + statsFingerprint(p)
+	}
+	if got := sha(fp); got != goldenGzipBasePRI {
+		t.Errorf("full-stats fingerprint diverged from golden kernel output:\ngot  %s\nwant %s\n%s",
+			got, goldenGzipBasePRI, fp)
 	}
 }

@@ -19,7 +19,11 @@
 //     pointers in shadow maps.
 package core
 
-import "prisim/internal/isa"
+import (
+	"fmt"
+
+	"prisim/internal/isa"
+)
 
 // Policy selects the register release scheme. The zero value is the
 // conventional baseline: release a physical register when the next writer
@@ -120,16 +124,25 @@ func DefaultParams() Params {
 	return Params{IntPRs: 64, FPPRs: 64, IntNarrowBits: 7, FPInline: true}
 }
 
-// Validate panics on nonsensical parameters; renaming needs at least one
-// physical register per architected register.
-func (p Params) Validate() {
+// Check reports why p cannot drive a renamer: renaming needs at least one
+// physical register per architected register, and a narrow budget within
+// a 64-bit word. It returns nil for sensible parameters.
+func (p Params) Check() error {
 	if p.IntPRs < isa.NumIntRegs {
-		panic("core: IntPRs must be at least the architected count")
+		return fmt.Errorf("core: IntPRs must be at least %d (one per architected register), got %d", isa.NumIntRegs, p.IntPRs)
 	}
 	if p.FPPRs < isa.NumFPRegs {
-		panic("core: FPPRs must be at least the architected count")
+		return fmt.Errorf("core: FPPRs must be at least %d (one per architected register), got %d", isa.NumFPRegs, p.FPPRs)
 	}
 	if p.IntNarrowBits < 0 || p.IntNarrowBits > 64 {
-		panic("core: bad IntNarrowBits")
+		return fmt.Errorf("core: IntNarrowBits must be in [0, 64], got %d", p.IntNarrowBits)
+	}
+	return nil
+}
+
+// Validate panics with Check's message on nonsensical parameters.
+func (p Params) Validate() {
+	if err := p.Check(); err != nil {
+		panic(err.Error())
 	}
 }

@@ -67,14 +67,16 @@ type Config struct {
 	// RetryBackoff is the base delay before a failed point re-enters the
 	// queue (doubled per attempt, capped at 5s); <= 0 selects 200ms.
 	RetryBackoff time.Duration
-	// PointTimeout bounds one dispatch (submit + wait + fetch); <= 0
-	// selects 5m.
-	PointTimeout time.Duration
-	// MaxPoints bounds one matrix's expansion; <= 0 selects 4096.
-	MaxPoints int
 	// Logger receives coordinator logs; nil discards them.
 	Logger *log.Logger
 }
+
+const (
+	// pointTimeout bounds one dispatch (submit + wait + fetch).
+	pointTimeout = 5 * time.Minute
+	// maxPoints bounds one matrix's expansion.
+	maxPoints = 4096
+)
 
 // worker is one registered prisimd daemon. All fields are mutated only
 // under the coordinator's mu.
@@ -192,12 +194,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 200 * time.Millisecond
 	}
-	if cfg.PointTimeout <= 0 {
-		cfg.PointTimeout = 5 * time.Minute
-	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = 4096
-	}
 	//lint:ignore ctxcheck the coordinator owns this lifecycle root: every dispatch context derives from it and Close cancels it
 	ctx, stop := context.WithCancel(context.Background())
 	c := &Coordinator{
@@ -290,8 +286,8 @@ func (c *Coordinator) SubmitMatrix(spec prisimclient.Matrix) (st prisimclient.Ma
 	}
 	spec = NormalizeMatrix(spec)
 	points := len(spec.Benchmarks) * len(spec.Policies) * len(spec.Widths) * len(spec.PhysRegs)
-	if points > c.cfg.MaxPoints {
-		return prisimclient.MatrixStatus{}, false, fmt.Errorf("%w: %d > %d", ErrTooManyPoints, points, c.cfg.MaxPoints)
+	if points > maxPoints {
+		return prisimclient.MatrixStatus{}, false, fmt.Errorf("%w: %d > %d", ErrTooManyPoints, points, maxPoints)
 	}
 
 	c.mu.Lock()

@@ -160,7 +160,7 @@ func (c *Coordinator) pickWorkerAtLocked(f *flight, advance bool) *worker {
 // its matrices after MaxAttempts.
 func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 	defer c.wg.Done()
-	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
+	ctx, cancel := context.WithTimeout(c.rootCtx, pointTimeout)
 	defer cancel()
 	res, by, err := runPoint(ctx, w.client, f.Request)
 
@@ -192,7 +192,7 @@ func (c *Coordinator) execOnWorker(w *worker, f *flight) {
 // execLocal runs one point on a local slot.
 func (c *Coordinator) execLocal(f *flight) {
 	defer c.wg.Done()
-	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.PointTimeout)
+	ctx, cancel := context.WithTimeout(c.rootCtx, pointTimeout)
 	defer cancel()
 	res, out, err := c.execute(ctx, f)
 

@@ -11,6 +11,9 @@
 package ooo
 
 import (
+	"errors"
+	"fmt"
+
 	"prisim/internal/bpred"
 	"prisim/internal/core"
 	"prisim/internal/isa"
@@ -110,16 +113,35 @@ func (c Config) WithPRs(n int) Config {
 	return c
 }
 
-func (c *Config) validate() {
+// Check reports why the pipeline cannot simulate c: a nonpositive
+// structure size, rename parameters core rejects, or a functional-unit
+// class with no units. It returns nil for a simulable machine.
+func (c Config) Check() error {
 	if c.Width <= 0 || c.ROBSize <= 0 || c.LSQSize <= 0 || c.SchedSize <= 0 {
-		panic("ooo: nonpositive structure size")
+		return errors.New("ooo: nonpositive structure size")
+	}
+	if err := c.Rename.Check(); err != nil {
+		return err
+	}
+	for cl, n := range c.FUCount {
+		if n <= 0 {
+			return fmt.Errorf("ooo: no functional units of class %v", isa.FUClass(cl))
+		}
+	}
+	return nil
+}
+
+// validate panics with Check's message on a machine the pipeline cannot
+// simulate, then resolves c's derived and defaulted fields.
+func (c *Config) validate() {
+	if err := c.Check(); err != nil {
+		panic(err.Error())
 	}
 	if c.DelayedAllocation {
 		// Virtual tags are unbounded; the physical bound moves to the
 		// writeback gate, which reads IntPRs/FPPRs from the rename params.
 		c.Rename.Policy.Infinite = true
 	}
-	c.Rename.Validate()
 	if c.SchedToExec < 1 {
 		c.SchedToExec = 1
 	}
@@ -128,10 +150,5 @@ func (c *Config) validate() {
 	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = 200_000
-	}
-	for cl, n := range c.FUCount {
-		if n <= 0 {
-			panicf("ooo: no functional units of class %v", isa.FUClass(cl))
-		}
 	}
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"prisim/internal/emu"
 	"prisim/internal/isa"
@@ -132,29 +131,21 @@ func (s *Significance) FPTrivialFrac() float64 {
 	return float64(s.FPTrivial) / float64(s.FPOperands)
 }
 
-// Table renders a fixed-width text table: the harness uses it for every
-// figure and table reproduction. AddRow and String are safe to call from
-// multiple goroutines, so parallel experiment drivers can assemble one
-// table concurrently; Title and Columns are set once before sharing.
+// Table renders a fixed-width text table: prisim.Table renders every
+// figure and table reproduction through it, and internal/plot charts it.
 type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-
-	mu sync.Mutex
 }
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) {
-	t.mu.Lock()
 	t.Rows = append(t.Rows, cells)
-	t.mu.Unlock()
 }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)

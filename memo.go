@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// memo is the singleflight cache behind both of the Runner's caches (timing
+// memo is the singleflight cache behind both of the Engine's caches (timing
 // results and fast-forward snapshots). The first caller for a key computes
 // the value while concurrent callers for the same key wait — holding
 // nothing, so waiting cannot deadlock the worker pool — and share it. A
@@ -99,7 +99,7 @@ func (m *memo[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (V, er
 // errPanicked is the error of a flight whose fn panicked. The flight
 // settles as failed, so its waiters retry instead of waiting forever, and
 // the panic continues up the owner's stack.
-var errPanicked = errors.New("harness: flight panicked")
+var errPanicked = errors.New("prisim: flight panicked")
 
 // settle publishes a finished flight. A failed one is evicted before its
 // waiters wake, so they retry under their own contexts.

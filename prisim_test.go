@@ -2,7 +2,6 @@ package prisim
 
 import (
 	"context"
-	"prisim/internal/harness"
 	"strings"
 	"testing"
 )
@@ -106,18 +105,5 @@ func TestExperimentFig2(t *testing.T) {
 func TestSimulateRejectsTinyRegisterFile(t *testing.T) {
 	if _, err := testEngine.Simulate(context.Background(), Options{Benchmark: "gzip", PhysRegs: 16}); err == nil {
 		t.Error("16 physical registers accepted")
-	}
-}
-
-// TestDefaultBudgetConstantsMatchHarness pins the exported budget constants
-// to the harness defaults they document: the content-hash schema
-// (prisimclient.CacheKeyFor) folds these values in for zero budget fields,
-// so drifting apart would silently re-key every cached result.
-func TestDefaultBudgetConstantsMatchHarness(t *testing.T) {
-	if DefaultFastForward != harness.DefaultBudget.FastForward {
-		t.Errorf("DefaultFastForward = %d, harness default = %d", DefaultFastForward, harness.DefaultBudget.FastForward)
-	}
-	if DefaultRun != harness.DefaultBudget.Run {
-		t.Errorf("DefaultRun = %d, harness default = %d", DefaultRun, harness.DefaultBudget.Run)
 	}
 }

@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -11,19 +11,19 @@ import (
 	"prisim/internal/workloads"
 )
 
-// ShapeCheck is one verifiable claim about the reproduction: a property the
+// shapeCheck is one verifiable claim about the reproduction: a property the
 // paper's evaluation exhibits that the regenerated data should too.
-type ShapeCheck struct {
-	Name string
-	Pass bool
-	Note string
+type shapeCheck struct {
+	name string
+	pass bool
+	note string
 }
 
-// CheckShapes runs the experiment suite's cheap end of the paper's claims
+// checkShapes runs the experiment suite's cheap end of the paper's claims
 // against live simulation data and reports which hold. These are the same
-// properties EXPERIMENTS.md discusses; the harness makes them executable so
+// properties EXPERIMENTS.md discusses; the report makes them executable so
 // regressions in the model or workloads surface mechanically.
-func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
+func (e *Engine) checkShapes(ctx context.Context) ([]shapeCheck, error) {
 	// The whole matrix the checks consult: five policies at both widths,
 	// then the Figure 9 extremes on the 4-wide machine.
 	pols := []core.Policy{core.PolicyBase, core.PolicyER, core.PolicyPRIRcLazy,
@@ -36,16 +36,16 @@ func (r *Runner) CheckShapes(ctx context.Context) ([]ShapeCheck, error) {
 	}
 	cfgs = append(cfgs, machine(4).WithPRs(40), machine(4).WithPRs(96))
 	ws := workloads.All()
-	res, err := r.grid(ctx, ws, cfgs...)
+	res, err := e.grid(ctx, ws, cfgs...)
 	if err != nil {
 		return nil, err
 	}
 	// at returns ws[i]'s result under pols[p] at the given width.
 	at := func(i, width, p int) *Result { return res[i][(width/4-1)*len(pols)+p] }
 
-	var checks []ShapeCheck
+	var checks []shapeCheck
 	add := func(name string, pass bool, note string) {
-		checks = append(checks, ShapeCheck{Name: name, Pass: pass, Note: note})
+		checks = append(checks, shapeCheck{name: name, pass: pass, note: note})
 	}
 	// Collect per-suite speedup averages for the three headline schemes.
 	type avg struct{ er, pri, priER, inf float64 }
@@ -124,18 +124,19 @@ func key(c workloads.Class, width int) string {
 	return c.String() + strconv.Itoa(width)
 }
 
-// WriteReport regenerates the full experiment suite and writes a
-// self-contained markdown report: every table in Experiments plus the
-// executable shape checklist. It stops at the first experiment that fails.
-// It is the machine-written sibling of EXPERIMENTS.md.
-func (r *Runner) WriteReport(ctx context.Context, w io.Writer) error {
+// WriteReport regenerates the full experiment suite — every experiment
+// ExperimentNames lists plus the executable shape checklist — as a
+// self-contained markdown report on w, stopping at the first experiment
+// that fails. o supplies the per-run budget.
+func (e *Engine) WriteReport(ctx context.Context, w io.Writer, o Options) error {
+	v := e.at(budget{o.FastForward, o.Run})
 	fmt.Fprintf(w, "# prisim experiment report\n\n")
 	fmt.Fprintf(w, "Budget: %d fast-forward + %d measured instructions per point.\n\n",
-		r.Budget.FastForward, r.Budget.Run)
-	for _, e := range Experiments {
-		tables, err := e.Run(r, ctx)
+		v.budget.ff, v.budget.run)
+	for _, x := range experiments {
+		tables, err := x.run(v, ctx)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
+			return fmt.Errorf("%s: %w", x.name, err)
 		}
 		for _, t := range tables {
 			fmt.Fprintf(w, "```\n%s```\n\n", t.String())
@@ -144,17 +145,17 @@ func (r *Runner) WriteReport(ctx context.Context, w io.Writer) error {
 
 	fmt.Fprintf(w, "## Shape checklist\n\n")
 	pass := 0
-	checks, err := r.CheckShapes(ctx)
+	checks, err := v.checkShapes(ctx)
 	if err != nil {
 		return err
 	}
 	for _, c := range checks {
 		mark := "FAIL"
-		if c.Pass {
+		if c.pass {
 			mark = "ok"
 			pass++
 		}
-		fmt.Fprintf(w, "- [%s] %s — %s\n", mark, c.Name, c.Note)
+		fmt.Fprintf(w, "- [%s] %s — %s\n", mark, c.name, c.note)
 	}
 	fmt.Fprintf(w, "\n%d/%d checks passed.\n", pass, len(checks))
 	return nil

@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -12,7 +12,7 @@ import (
 // Fast-forward snapshot cache. Every point of a sweep replays the same
 // functional fast-forward even though that warm-up state is provably
 // independent of the rename policy under measurement (ooo.WarmState
-// documents why). The Runner therefore fast-forwards each workload once,
+// documents why). The Engine therefore fast-forwards each workload once,
 // captures the warm machine/predictor/cache state, and constructs every
 // later pipeline for that workload from a copy-on-write clone.
 //
@@ -49,20 +49,20 @@ type snapKey struct {
 
 // snapshotKey derives the cache key for one run: the workload plus every
 // configuration axis that influences fast-forward state.
-func (r *Runner) snapshotKey(w workloads.Workload, cfg ooo.Config) snapKey {
-	return snapKey{bench: w.Name, ff: r.Budget.FastForward, mem: cfg.Mem, bp: cfg.Bpred}
+func (e *Engine) snapshotKey(w workloads.Workload, cfg ooo.Config) snapKey {
+	return snapKey{bench: w.Name, ff: e.budget.ff, mem: cfg.Mem, bp: cfg.Bpred}
 }
 
 // warmFor returns the warm fast-forward state for (w, cfg), building it on
 // first request and sharing it afterwards. It returns (nil, nil) when there
 // is nothing to fast-forward.
-func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
-	if r.Budget.FastForward == 0 {
+func (e *Engine) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Config) (*ooo.WarmState, error) {
+	if e.budget.ff == 0 {
 		return nil, nil
 	}
-	key := r.snapshotKey(w, cfg)
-	return r.s.snaps.do(ctx, key,
-		func() (*ooo.WarmState, error) { return r.buildSnapshot(ctx, w, cfg, key) })
+	key := e.snapshotKey(w, cfg)
+	return e.s.snaps.do(ctx, key,
+		func() (*ooo.WarmState, error) { return e.buildSnapshot(ctx, w, cfg, key) })
 }
 
 // buildSnapshot fast-forwards one workload to key.ff inside a worker-pool
@@ -70,8 +70,8 @@ func (r *Runner) warmFor(ctx context.Context, w workloads.Workload, cfg ooo.Conf
 // snapshot of the same workload when one exists. It waits for that base
 // before taking a slot: the base's owner may itself be queued for one, and
 // on a 1-worker pool waiting while holding the slot would deadlock.
-func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config, key snapKey) (*ooo.WarmState, error) {
-	base, chained, err := r.s.snaps.nearest(ctx, func(k snapKey) uint64 {
+func (e *Engine) buildSnapshot(ctx context.Context, w workloads.Workload, cfg ooo.Config, key snapKey) (*ooo.WarmState, error) {
+	base, chained, err := e.s.snaps.nearest(ctx, func(k snapKey) uint64 {
 		if k.bench != key.bench || k.mem != key.mem || k.bp != key.bp || k.ff >= key.ff {
 			return 0
 		}
@@ -81,10 +81,10 @@ func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg oo
 		return nil, err
 	}
 
-	if err := r.acquire(ctx); err != nil {
+	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
-	defer r.release()
+	defer e.release()
 
 	var p *ooo.Pipeline
 	if chained {
@@ -95,8 +95,8 @@ func (r *Runner) buildSnapshot(ctx context.Context, w workloads.Workload, cfg oo
 	// A base that halted early has executed fewer instructions than its
 	// budget; the rest of the gap is then a no-op on the halted machine.
 	start := p.Machine().Seq()
-	err = runChunked(ctx, p.FastForward, key.ff-start)
-	r.s.ffInstrs.Add(p.Machine().Seq() - start)
+	err = runChunked(ctx, p.FastForward, key.ff-start, nil)
+	e.s.ffInstrs.Add(p.Machine().Seq() - start)
 	if err != nil {
 		return nil, err
 	}

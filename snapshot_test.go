@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -16,17 +16,17 @@ import (
 func resultFingerprint(r *Result) string { return fmt.Sprintf("%+v", *r) }
 
 // TestSnapshotsByteIdentical runs every policy family over two workloads
-// through the Runner, whose points clone one warm snapshot per workload,
+// through the Engine, whose points clone one warm snapshot per workload,
 // and demands Results identical to a replay built here from the ooo
 // primitives (fresh pipeline, fast-forward, run) — the clone-equals-replay
-// contract at the harness level.
+// contract at the Engine level.
 func TestSnapshotsByteIdentical(t *testing.T) {
 	pols := []core.Policy{
 		core.PolicyBase, core.PolicyER, core.PolicyPRIRcCkpt,
 		core.PolicyPRIRcLazy, core.PolicyPRIPlusER,
 	}
-	b := Budget{FastForward: 2000, Run: 8000}
-	r := NewParallelRunner(b, 4)
+	const ff, run = 2000, 8000
+	r := NewEngine(WithBudget(ff, run), WithParallelism(4))
 	for _, name := range []string{"gzip", "mcf"} {
 		w, ok := workloads.ByName(name)
 		if !ok {
@@ -36,12 +36,11 @@ func TestSnapshotsByteIdentical(t *testing.T) {
 			for _, width := range []int{4, 8} {
 				cfg := machine(width).WithPolicy(pol)
 				p := ooo.New(cfg, w.Build(0))
-				p.FastForward(b.FastForward)
-				p.Run(b.Run)
-				replay := buildResult(p, w.Class == workloads.FP)
-				replay.Bench, replay.Config, replay.Policy = w.Name, cfg.Name, pol.Name()
+				p.FastForward(ff)
+				p.Run(run)
+				replay := buildResult(p, cfg, w.Name, w.Class == workloads.FP)
 
-				got, want := resultFingerprint(r.Run(w, cfg)), resultFingerprint(replay)
+				got, want := resultFingerprint(mustRun(t, r, w, cfg)), resultFingerprint(replay)
 				if got != want {
 					t.Errorf("%s/w%d/%s: snapshot run differs from replay:\nreplay:   %s\nsnapshot: %s",
 						name, width, pol.Name(), want, got)
@@ -60,7 +59,7 @@ func TestSnapshotsByteIdentical(t *testing.T) {
 func TestSnapshotCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			r := NewParallelRunner(Budget{FastForward: 2000, Run: 4000}, workers)
+			r := NewEngine(WithBudget(2000, 4000), WithParallelism(workers))
 			var ws []workloads.Workload
 			for _, name := range []string{"gzip", "mcf", "vortex"} {
 				w, ok := workloads.ByName(name)
@@ -101,23 +100,23 @@ func TestSnapshotCounters(t *testing.T) {
 // share a snapshot (fast-forward state is policy-independent), while a
 // different memory configuration or fast-forward budget must not.
 func TestSnapshotKeySharing(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 2000, Run: 4000}, 2)
+	r := NewEngine(WithBudget(2000, 4000), WithParallelism(2))
 	w, _ := workloads.ByName("gzip")
 
-	r.Run(w, machine(4))
-	r.Run(w, machine(8).WithPolicy(core.PolicyPRIPlusER))
+	mustRun(t, r, w, machine(4))
+	mustRun(t, r, w, machine(8).WithPolicy(core.PolicyPRIPlusER))
 	if st := r.CacheStats(); st.SnapshotBuilds != 1 || st.SnapshotHits != 1 {
 		t.Errorf("width/policy points did not share one snapshot: %+v", st)
 	}
 
 	mshr := machine(4)
 	mshr.Mem.MSHRs = 8
-	r.Run(w, mshr)
+	mustRun(t, r, w, mshr)
 	if st := r.CacheStats(); st.SnapshotBuilds != 2 {
 		t.Errorf("different memsys config reused a snapshot: %+v", st)
 	}
 
-	r.WithBudget(Budget{FastForward: 1000}).Run(w, machine(4))
+	mustRun(t, r.at(budget{ff: 1000}), w, machine(4))
 	if st := r.CacheStats(); st.SnapshotBuilds != 3 {
 		t.Errorf("different fast-forward budget reused a snapshot: %+v", st)
 	}
@@ -127,10 +126,10 @@ func TestSnapshotKeySharing(t *testing.T) {
 // maxSnapshots (via distinct fast-forward budgets) and checks the resident
 // set stays bounded while every run still succeeds.
 func TestSnapshotEvictionBound(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 2)
+	r := NewEngine(WithBudget(1000, 1000), WithParallelism(2))
 	w, _ := workloads.ByName("gzip")
 	for i := 0; i < maxSnapshots+8; i++ {
-		r.WithBudget(Budget{FastForward: uint64(1000 + i), Run: 1000}).Run(w, machine(4))
+		mustRun(t, r.at(budget{uint64(1000 + i), 1000}), w, machine(4))
 	}
 	r.s.snaps.mu.Lock()
 	n, bytes := len(r.s.snaps.slots), r.s.snaps.bytes
@@ -151,12 +150,12 @@ func TestSnapshotEvictionBound(t *testing.T) {
 // parallel runner and checks the pinned hash — snapshots must not perturb a
 // single byte of any table.
 func TestSnapshotGoldenFig8(t *testing.T) {
-	r := NewParallelRunner(goldenBudget, 4)
-	tbl, err := r.Fig8(context.Background())
+	r := NewEngine(WithBudget(goldenBudget.ff, goldenBudget.run), WithParallelism(4))
+	ts, err := r.fig8(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha(tbl.String()); got != goldenFig8Hash {
+	if got := sha(ts[0].String()); got != goldenFig8Hash {
 		t.Errorf("fig8 table with snapshots diverged from golden hash:\ngot  %s\nwant %s", got, goldenFig8Hash)
 	}
 	if st := r.CacheStats(); st.SnapshotHits == 0 {
@@ -198,17 +197,17 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // snapSlot reports whether key has a slot in r's snapshot cache and
 // whether a chained build has looked it up as its base (nearest marks the
 // chosen slot used; an in-flight slot is otherwise unstamped).
-func snapSlot(r *Runner, key snapKey) (present, used bool) {
+func snapSlot(r *Engine, key snapKey) (present, used bool) {
 	r.s.snaps.mu.Lock()
 	defer r.s.snaps.mu.Unlock()
 	s, ok := r.s.snaps.slots[key]
 	return ok, ok && s.lastUse != 0
 }
 
-// TestSnapshotChainOrders asks one Runner for eight fast-forward offsets of
+// TestSnapshotChainOrders asks one Engine for eight fast-forward offsets of
 // one workload in ascending, descending and shuffled order, serially and
 // all at once, on 1 and 4 workers. Whatever chain each build takes, every
-// Result must be byte-identical to a cold Runner's at that offset alone,
+// Result must be byte-identical to a cold Engine's at that offset alone,
 // and each offset must still build exactly one snapshot.
 func TestSnapshotChainOrders(t *testing.T) {
 	w, _ := workloads.ByName("gzip")
@@ -229,9 +228,9 @@ func TestSnapshotChainOrders(t *testing.T) {
 
 	want := make(map[uint64][]string)
 	for _, ff := range asc {
-		cold := NewParallelRunner(Budget{FastForward: ff, Run: run}, 1)
+		cold := NewEngine(WithBudget(ff, run), WithParallelism(1))
 		for _, cfg := range cfgs {
-			want[ff] = append(want[ff], resultFingerprint(cold.Run(w, cfg)))
+			want[ff] = append(want[ff], resultFingerprint(mustRun(t, cold, w, cfg)))
 		}
 	}
 
@@ -250,10 +249,10 @@ func TestSnapshotChainOrders(t *testing.T) {
 					// instead of hanging the test binary.
 					ctx, cancel := context.WithTimeout(bg, time.Minute)
 					defer cancel()
-					r := NewParallelRunner(Budget{FastForward: order.ffs[0], Run: run}, workers)
+					r := NewEngine(WithBudget(order.ffs[0], run), WithParallelism(workers))
 					got := make([][]*Result, len(order.ffs))
 					request := func(i int) error {
-						res, err := r.WithBudget(Budget{FastForward: order.ffs[i]}).grid(ctx, []workloads.Workload{w}, cfgs...)
+						res, err := r.at(budget{ff: order.ffs[i]}).grid(ctx, []workloads.Workload{w}, cfgs...)
 						if err == nil {
 							got[i] = res[0]
 						}
@@ -275,7 +274,7 @@ func TestSnapshotChainOrders(t *testing.T) {
 					for i, ff := range order.ffs {
 						for j, cfg := range cfgs {
 							if g := resultFingerprint(got[i][j]); g != want[ff][j] {
-								t.Errorf("ff=%d %s: chained Result differs from a cold Runner's:\ncold:    %s\nchained: %s",
+								t.Errorf("ff=%d %s: chained Result differs from a cold Engine's:\ncold:    %s\nchained: %s",
 									ff, cfg.Rename.Policy.Name(), want[ff][j], g)
 							}
 						}
@@ -297,10 +296,10 @@ func TestSnapshotChainOrders(t *testing.T) {
 // offsets 1k, 2k, 3k chain, so they execute 3k instructions, not 6k; a
 // repeated offset is a snapshot hit and executes nothing.
 func TestSnapshotFFInstructions(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 2)
+	r := NewEngine(WithBudget(1000, 1000), WithParallelism(2))
 	w, _ := workloads.ByName("gzip")
 	for _, ff := range []uint64{1000, 2000, 3000, 2000} {
-		r.WithBudget(Budget{FastForward: ff}).Run(w, machine(4))
+		mustRun(t, r.at(budget{ff: ff}), w, machine(4))
 	}
 	st := r.CacheStats()
 	if st.SnapshotFFInstructions != 3000 {
@@ -316,20 +315,20 @@ func TestSnapshotFFInstructions(t *testing.T) {
 // holding no slot. Waiting while holding the slot would leave the base's
 // owner queued forever.
 func TestSnapshotChainWaitsWithoutSlot(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 1)
+	r := NewEngine(WithBudget(1000, 1000), WithParallelism(1))
 	w, _ := workloads.ByName("gzip")
 	cfg := machine(4)
-	later := r.WithBudget(Budget{FastForward: 2000})
+	later := r.at(budget{ff: 2000})
 
 	// Hold the only slot so the 1000 build's owner queues for it.
 	if err := r.acquire(bg); err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
-	go func() { _, err := r.RunCtx(bg, w, cfg); errs <- err }()
+	go func() { _, err := r.run(bg, w, cfg); errs <- err }()
 	base := r.snapshotKey(w, cfg)
 	waitUntil(t, "the 1000 build is in flight", func() bool { ok, _ := snapSlot(r, base); return ok })
-	go func() { _, err := later.RunCtx(bg, w, cfg); errs <- err }()
+	go func() { _, err := later.run(bg, w, cfg); errs <- err }()
 	waitUntil(t, "the 2000 build waits on the queued 1000 build before taking a slot",
 		func() bool { _, used := snapSlot(r, base); return used })
 	r.release()
@@ -352,26 +351,26 @@ func TestSnapshotChainWaitsWithoutSlot(t *testing.T) {
 // TestSnapshotChainBaseCancelled cancels the owner of a chained build's
 // in-flight base: the chained build must not fail with it, but rescan and
 // complete from the next-nearest base, with a Result identical to a cold
-// Runner's.
+// Engine's.
 func TestSnapshotChainBaseCancelled(t *testing.T) {
-	r := NewParallelRunner(Budget{FastForward: 1000, Run: 1000}, 1)
+	r := NewEngine(WithBudget(1000, 1000), WithParallelism(1))
 	w, _ := workloads.ByName("gzip")
 	cfg := machine(4)
-	mid, top := r.WithBudget(Budget{FastForward: 2000}), r.WithBudget(Budget{FastForward: 3000})
-	r.Run(w, cfg) // a completed snapshot at 1000: the fallback base
+	mid, top := r.at(budget{ff: 2000}), r.at(budget{ff: 3000})
+	mustRun(t, r, w, cfg) // a completed snapshot at 1000: the fallback base
 
 	if err := r.acquire(bg); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(bg)
 	midErr := make(chan error, 1)
-	go func() { _, err := mid.RunCtx(ctx, w, cfg); midErr <- err }()
+	go func() { _, err := mid.run(ctx, w, cfg); midErr <- err }()
 	midKey := mid.snapshotKey(w, cfg)
 	waitUntil(t, "the 2000 build is in flight", func() bool { ok, _ := snapSlot(r, midKey); return ok })
 	topRes := make(chan *Result, 1)
 	topErr := make(chan error, 1)
 	go func() {
-		res, err := top.RunCtx(bg, w, cfg)
+		res, err := top.run(bg, w, cfg)
 		topRes <- res
 		topErr <- err
 	}()
@@ -391,9 +390,9 @@ func TestSnapshotChainBaseCancelled(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("chained build never completed after its base was cancelled")
 	}
-	cold := NewParallelRunner(Budget{FastForward: 3000, Run: 1000}, 1).Run(w, cfg)
+	cold := mustRun(t, NewEngine(WithBudget(3000, 1000), WithParallelism(1)), w, cfg)
 	if got, want := resultFingerprint(<-topRes), resultFingerprint(cold); got != want {
-		t.Errorf("chained Result differs from a cold Runner's:\ncold:    %s\nchained: %s", want, got)
+		t.Errorf("chained Result differs from a cold Engine's:\ncold:    %s\nchained: %s", want, got)
 	}
 	st := r.CacheStats()
 	if st.SnapshotBuilds != 2 || st.SnapshotFFInstructions != 3000 {

@@ -1,4 +1,4 @@
-package harness
+package prisim
 
 import (
 	"context"
@@ -31,7 +31,7 @@ func sweepFig8MixConfigs() []ooo.Config {
 
 // BenchmarkSweepFig8Mix measures end-to-end sweep throughput — points per
 // wall-clock second — of a cold fig8-mix sweep with the snapshot layer
-// enabled. Each iteration builds a fresh Runner so every point's pipeline
+// enabled. Each iteration builds a fresh Engine so every point's pipeline
 // construction, snapshot build or clone, and measured run all land inside
 // the timed region; nothing is served from a previous iteration's caches.
 // CI gates the best of three iterations at a fraction of
@@ -42,7 +42,7 @@ func BenchmarkSweepFig8Mix(b *testing.B) {
 	ws, cfgs := suite(workloads.Int), sweepFig8MixConfigs()
 	points := len(ws) * len(cfgs)
 	for i := 0; i < b.N; i++ {
-		r := NewParallelRunner(Budget{FastForward: DefaultBudget.FastForward, Run: sweepRunPerPoint}, 0)
+		r := NewEngine(WithBudget(DefaultFastForward, sweepRunPerPoint))
 		if _, err := r.grid(ctx, ws, cfgs...); err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkSweepFig8Mix(b *testing.B) {
 // per wall-clock second — on one workload skipped to 8 fast-forward offsets
 // 60k apart, each measured for a 4k window under base and PRI-rc-ckpt at
 // 4-wide. The offsets are requested in a fixed shuffled order, one offset's
-// points at a time, on a fresh Runner per iteration. It fails when snapshot
+// points at a time, on a fresh Engine per iteration. It fails when snapshot
 // builds fast-forward more than chaining allows: each offset's gap to the
 // nearest smaller offset requested before it.
 func BenchmarkSampledSnapshots(b *testing.B) {
@@ -73,9 +73,9 @@ func BenchmarkSampledSnapshots(b *testing.B) {
 	}
 	bound := chainCost(order)
 	for i := 0; i < b.N; i++ {
-		r := NewParallelRunner(Budget{FastForward: order[0], Run: window}, 0)
+		r := NewEngine(WithBudget(order[0], window))
 		for _, ff := range order {
-			if _, err := r.WithBudget(Budget{FastForward: ff}).grid(ctx, ws, cfgs...); err != nil {
+			if _, err := r.at(budget{ff: ff}).grid(ctx, ws, cfgs...); err != nil {
 				b.Fatal(err)
 			}
 		}
